@@ -52,6 +52,7 @@ from .expansion import (
     eval_enclosure,
     eval_prefix,
     eval_signed_product,
+    prefix_walk,
     prefix_weight,
     tail_bounds,
     value_range,
@@ -135,6 +136,7 @@ __all__ = [
     "parse_rational",
     "parse_spec",
     "placement",
+    "prefix_walk",
     "prefix_weight",
     "rat",
     "roundtrip_verify",

@@ -126,21 +126,15 @@ def make_classic(kind: ClassicKind) -> DigitSystem:
     if tag == "example_a":
         return DigitSystem(
             SignSet.residue_classes(4, (1, 2), start_k=1),
-            RuleColumns(
-                _example_a_column,
-                vanishing_product=True,
-                note="sup entries n/(n+1); the running product is 1/(n+1)",
-            ),
+            # Sup entries n/(n+1): the running product is 1/(n+1).
+            RuleColumns(_example_a_column, vanishing_product=True),
         )
     if tag == "example_b":
         return DigitSystem(
             SignSet.none(),
-            RuleColumns(
-                _example_b_column,
-                vanishing_product=True,
-                note="sup entries are at most max(1/2, (n+1)/(n+3)) < 1 with "
-                     "uniform 1/n columns interleaved",
-            ),
+            # Sup entries are at most max(1/2, (n+1)/(n+3)) < 1 with uniform
+            # 1/n columns interleaved.
+            RuleColumns(_example_b_column, vanishing_product=True),
         )
     raise DomainError(f"unknown classic kind {tag!r}")
 

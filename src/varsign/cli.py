@@ -16,11 +16,11 @@ import sys
 
 import click
 
-from .cylinders import cylinder, cylinder_bounds, cylinder_length, metric_ratio, placement
+from .cylinders import cylinder, cylinder_bounds, metric_ratio, placement
 from .encoder import encode, theorem_check
 from .errors import SpecError, VarsignError
-from .expansion import eval_enclosure, eval_prefix, value_range, word
-from .numerics import Enclosure, format_enclosure, format_rational, parse_rational
+from .expansion import DEFAULT_DEPTH, eval_enclosure, eval_prefix, value_range, word
+from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 from .system import CERTIFIED
 
@@ -54,15 +54,11 @@ def _emit(doc: dict, fmt: str, lines) -> None:
             click.echo(line)
 
 
-def _enc(e: Enclosure) -> dict:
-    return format_enclosure(e)
-
-
 _spec_option = click.option(
     "--spec", "spec_path", required=True, metavar="FILE",
     help="JSON system description.")
 _depth_option = click.option(
-    "--depth", default=40, show_default=True,
+    "--depth", default=DEFAULT_DEPTH, show_default=True,
     help="Positions of exact expansion before certified tail bounds.")
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "machine"]), default="text",
@@ -126,8 +122,8 @@ def range_cmd(spec_path, depth, fmt):
     doc = {
         "command": "range",
         "depth": depth,
-        "infimum": _enc(lo),
-        "supremum": _enc(hi),
+        "infimum": format_enclosure(lo),
+        "supremum": format_enclosure(hi),
     }
     lines = [
         f"infimum within {lo}",
@@ -147,15 +143,16 @@ def eval_cmd(spec_path, depth, fmt, digits):
     w = word(system, _parse_digits(digits))
     use_depth = max(depth, len(w) + 2)
     enc = eval_enclosure(w, use_depth)
+    value = eval_prefix(w)
     doc = {
         "command": "eval",
         "depth": use_depth,
         "digits": list(w.digits),
-        "prefix_value": format_rational(eval_prefix(w)),
-        "enclosure": _enc(enc),
+        "prefix_value": format_rational(value),
+        "enclosure": format_enclosure(enc),
     }
     lines = [
-        f"prefix value: {format_rational(eval_prefix(w))}",
+        f"prefix value: {format_rational(value)}",
         f"value enclosure: {enc}",
         f"enclosure width: {format_rational(enc.width)}",
     ]
@@ -183,7 +180,7 @@ def encode_cmd(spec_path, depth, fmt, target, tol, max_len):
         "digits": list(result.digits.digits),
         "status": result.status,
         "gap_position": result.gap_position,
-        "residual": _enc(result.residual),
+        "residual": format_enclosure(result.residual),
     }
     lines = [
         "digits: " + ",".join(str(d) for d in result.digits.digits),
@@ -213,7 +210,7 @@ def cylinder_cmd(spec_path, depth, fmt, base, table_limit):
     cyl = cylinder(system, _parse_digits(base))
     use_depth = max(depth, cyl.rank + 3)
     inf_enc, sup_enc = cylinder_bounds(cyl, use_depth)
-    length = cylinder_length(cyl, use_depth)
+    length = sup_enc.sub(inf_enc)
     col = system.column(cyl.rank + 1)
     ratios = []
     digit = 0
@@ -224,10 +221,10 @@ def cylinder_cmd(spec_path, depth, fmt, base, table_limit):
         "command": "cylinder",
         "base": list(cyl.base.digits),
         "depth": use_depth,
-        "infimum": _enc(inf_enc),
-        "supremum": _enc(sup_enc),
-        "length": _enc(length),
-        "ratios": [{"digit": d, "ratio": _enc(r)} for d, r in ratios],
+        "infimum": format_enclosure(inf_enc),
+        "supremum": format_enclosure(sup_enc),
+        "length": format_enclosure(length),
+        "ratios": [{"digit": d, "ratio": format_enclosure(r)} for d, r in ratios],
     }
     lines = [
         f"rank: {cyl.rank}",
@@ -258,15 +255,15 @@ def placement_cmd(spec_path, depth, fmt, base, digit):
         "position": rep.position,
         "digit": rep.digit,
         "depth": use_depth,
-        "kappa1": _enc(rep.kappa1),
-        "kappa2": _enc(rep.kappa2),
-        "nu1": _enc(rep.nu1),
-        "nu2": _enc(rep.nu2),
-        "omega1": _enc(rep.omega1),
-        "omega2": _enc(rep.omega2),
+        "kappa1": format_enclosure(rep.kappa1),
+        "kappa2": format_enclosure(rep.kappa2),
+        "nu1": format_enclosure(rep.nu1),
+        "nu2": format_enclosure(rep.nu2),
+        "omega1": format_enclosure(rep.omega1),
+        "omega2": format_enclosure(rep.omega2),
         "orientation": rep.orientation,
         "overlap_class": rep.overlap_class,
-        "measure": _enc(rep.overlap_or_gap_measure),
+        "measure": format_enclosure(rep.overlap_or_gap_measure),
     }
     lines = [
         f"position {rep.position}, digits {rep.digit} and {rep.digit + 1}",
@@ -302,8 +299,8 @@ def theorem_cmd(spec_path, depth, fmt, rank):
                 "position": c.position,
                 "digit": c.digit,
                 "status": c.status,
-                "left": _enc(c.left),
-                "right": _enc(c.right),
+                "left": format_enclosure(c.left),
+                "right": format_enclosure(c.right),
                 "covers_column": c.covers_column,
             }
             for c in verdict.checks

@@ -1,9 +1,10 @@
 """Cylinder geometry: bounds, lengths, refinement ratios, adjacency.
 
 The cylinder of a base word is the closed set of values of all its
-continuations. Its endpoints are the base's exact partial value shifted by
-the base weight times the two extremal tails, so every geometric quantity
-here is an Enclosure built from the expansion module's tail machinery.
+continuations. Its endpoints are the base's exact partial value plus the
+base weight times the two extremal tails, so every geometric quantity here
+is an Enclosure built from the public `prefix_walk` and `tail_bounds` of the
+expansion module.
 
 Placement compares the cylinders of adjacent digits c and c+1 at the first
 free position. kappa1 is (sup of the c-cylinder) - (inf of the (c+1)-cylinder)
@@ -23,11 +24,9 @@ from .numerics import Enclosure, ZERO
 from .expansion import (
     DEFAULT_DEPTH,
     DigitWord,
-    _HIGH,
-    _LOW,
-    _tail_magnitude,
-    eval_prefix,
+    prefix_walk,
     prefix_weight,
+    tail_bounds,
     word,
 )
 from .system import DigitSystem
@@ -61,13 +60,11 @@ def cylinder_bounds(cyl: Cylinder, depth: int = DEFAULT_DEPTH) -> tuple:
         raise ParameterError(
             f"tail depth must exceed rank {cyl.rank}, got {depth!r}"
         )
-    base_value = eval_prefix(cyl.base)
-    weight = prefix_weight(cyl.base)
-    down = _tail_magnitude(cyl.system, cyl.rank, depth, _LOW)
-    up = _tail_magnitude(cyl.system, cyl.rank, depth, _HIGH)
-    inf_enc = down.neg().scale(weight).shift(base_value)
-    sup_enc = up.scale(weight).shift(base_value)
-    return (inf_enc, sup_enc)
+    value, weight = prefix_walk(cyl.base)
+    return tuple(
+        tail.scale(weight).shift(value)
+        for tail in tail_bounds(cyl.system, cyl.rank, depth)
+    )
 
 
 def cylinder_length(cyl: Cylinder, depth: int = DEFAULT_DEPTH) -> Enclosure:
@@ -88,12 +85,10 @@ def metric_ratio(cyl: Cylinder, next_digit: int, depth: int = DEFAULT_DEPTH) -> 
     col = cyl.system.column(n + 1)
     if not col.digit_valid(next_digit):
         raise DomainError(f"digit {next_digit} invalid at position {n + 1}")
-    span_child = _tail_magnitude(cyl.system, n + 1, depth, _LOW).add(
-        _tail_magnitude(cyl.system, n + 1, depth, _HIGH)
-    )
-    span_parent = _tail_magnitude(cyl.system, n, depth, _LOW).add(
-        _tail_magnitude(cyl.system, n, depth, _HIGH)
-    )
+    lo, hi = tail_bounds(cyl.system, n + 1, depth)
+    span_child = hi.sub(lo)
+    lo, hi = tail_bounds(cyl.system, n, depth)
+    span_parent = hi.sub(lo)
     try:
         return span_child.scale(col.entry(next_digit)).div(span_parent)
     except DomainError:
@@ -145,8 +140,8 @@ def placement(system: DigitSystem, base, digit: int,
         raise DomainError(f"adjacent pair ({digit}, {digit + 1}) invalid at position {n}")
 
     weight = prefix_weight(base_word)
-    omega1 = _tail_magnitude(system, n, depth, _HIGH)
-    omega2 = _tail_magnitude(system, n, depth, _LOW)
+    lo, omega1 = tail_bounds(system, n, depth)
+    omega2 = lo.neg()
     q_c = col.entry(digit)
     q_next = col.entry(digit + 1)
     marked = system.sign_exponent(n) == 1

@@ -27,9 +27,6 @@ from .numerics import Enclosure, ONE, ZERO
 from .expansion import (
     DEFAULT_DEPTH,
     DigitWord,
-    _HIGH,
-    _LOW,
-    _tail_magnitude,
     eval_enclosure,
     tail_bounds,
     word,
@@ -85,8 +82,8 @@ def theorem_check(sys: DigitSystem, depth: int,
     failure = None
     saw_undecided = False
     for n in range(1, depth + 1):
-        omega1 = _tail_magnitude(sys, n, tail_depth, _HIGH)
-        omega2 = _tail_magnitude(sys, n, tail_depth, _LOW)
+        lo, omega1 = tail_bounds(sys, n, tail_depth)
+        omega2 = lo.neg()
         if sys.signs.contains(n):
             shrink, grow = omega2, omega1
         else:

@@ -16,12 +16,18 @@ the structure beyond the depth is fully known (no contributing positions,
 all-singleton columns, all-contributing with a vanishing product, or an
 eventually periodic pattern solved by its fixed point).
 
+This module is the only one that seeds, recurses or caches tails; the rest
+of the package reads them through `tail_bounds`. The cache holds one table
+per (system, depth) and is keyed weakly on the system, so it never keeps a
+system alive.
+
 All of this presumes a system whose columns validate; tails of invalid
 systems are meaningless.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +36,6 @@ from .numerics import Enclosure, ONE, ZERO
 from .system import DigitSystem
 
 DEFAULT_DEPTH = 40
-
-_LOW = "low"
-_HIGH = "high"
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +77,10 @@ def word(system: DigitSystem, digits) -> DigitWord:
 # Exact evaluation (two independent routes)
 
 
-def eval_prefix(w: DigitWord) -> Fraction:
-    """Signed sum of digit weights times running entry products."""
+def prefix_walk(w: DigitWord) -> tuple:
+    """(value, weight) of the word in one pass: the signed sum of digit
+    weights times running entry products, and the product of the chosen
+    entries (1 for the empty word)."""
     sys = w.system
     total = ZERO
     weight = ONE
@@ -83,7 +88,12 @@ def eval_prefix(w: DigitWord) -> Fraction:
         col = sys.column(pos)
         total += sys.term_sign(pos) * col.weight(d) * weight
         weight *= col.entry(d)
-    return total
+    return total, weight
+
+
+def eval_prefix(w: DigitWord) -> Fraction:
+    """Signed sum of digit weights times running entry products."""
+    return prefix_walk(w)[0]
 
 
 def prefix_weight(w: DigitWord) -> Fraction:
@@ -117,22 +127,16 @@ def eval_signed_product(w: DigitWord) -> Fraction:
 # Tail enclosures
 
 
-def _extremal(sys: DigitSystem, t: int, side: str) -> tuple:
-    if side == _LOW:
-        return sys.extremal_low(t)
-    return sys.extremal_high(t)
-
-
-def _tail_seed(sys: DigitSystem, depth: int, side: str) -> Enclosure:
-    """Enclosure of the tail starting at position depth+1."""
+def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
+    """Enclosure of the low (or high) tail magnitude past position depth."""
     signs = sys.signs
     cols = sys.columns
-    if side == _LOW:
-        contributors_beyond = signs.has_members_beyond(depth)
-        others_beyond = signs.has_nonmembers_beyond(depth)
-    else:
-        contributors_beyond = signs.has_nonmembers_beyond(depth)
-        others_beyond = signs.has_members_beyond(depth)
+    extremal = sys.extremal_low if low else sys.extremal_high
+    members = signs.has_members_beyond(depth)
+    nonmembers = signs.has_nonmembers_beyond(depth)
+    contributors_beyond, others_beyond = (
+        (members, nonmembers) if low else (nonmembers, members)
+    )
 
     if not contributors_beyond:
         return Enclosure.point(0)
@@ -152,7 +156,7 @@ def _tail_seed(sys: DigitSystem, depth: int, side: str) -> Enclosure:
             partial = ZERO
             running = ONE
             for t in range(depth + 1, depth + period + 1):
-                a, q = _extremal(sys, t, side)
+                a, q = extremal(t)
                 partial += running * a
                 running *= q
             if running < 1:
@@ -164,20 +168,11 @@ def _tail_seed(sys: DigitSystem, depth: int, side: str) -> Enclosure:
     return Enclosure(ZERO, ONE)
 
 
-def _tail_magnitude(sys: DigitSystem, n: int, depth: int, side: str) -> Enclosure:
-    """Enclosure of the nonnegative tail sum over positions > n."""
-    memo = sys._tail_memo
-    key = (side, n, depth)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    enc = _tail_seed(sys, depth, side)
-    memo[(side, depth, depth)] = enc
-    for t in range(depth, n, -1):
-        a, q = _extremal(sys, t, side)
-        enc = Enclosure(a + q * enc.lo, a + q * enc.hi)
-        memo[(side, t - 1, depth)] = enc
-    return memo[key]
+# system -> {depth: {position: (lo, hi)}}, weakly keyed so that a table lives
+# exactly as long as its system. Positions are filled from depth downward,
+# so a table's last key is its lowest position; every write stores the one
+# exact value of its key, so concurrent callers cannot corrupt a table.
+_TAILS = weakref.WeakKeyDictionary()
 
 
 def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -186,14 +181,35 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
 
     Requires depth > n; each enclosure's width is at most the product of the
     extremal entries over positions n+1..depth (and is often exactly 0).
+    Results are cached per (system, depth); the table grows backward from
+    the seed only as far as the lowest position asked for.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")
     if not isinstance(depth, int) or depth <= n:
         raise ParameterError(f"tail depth must exceed position {n}, got {depth!r}")
-    lo = _tail_magnitude(sys, n, depth, _LOW).neg()
-    hi = _tail_magnitude(sys, n, depth, _HIGH)
-    return (lo, hi)
+    tables = _TAILS.get(sys)
+    if tables is None:
+        tables = _TAILS[sys] = {}
+    table = tables.get(depth)
+    if table is None:
+        table = tables[depth] = {
+            depth: (_tail_seed(sys, depth, True).neg(), _tail_seed(sys, depth, False))
+        }
+    hit = table.get(n)
+    if hit is not None:
+        return hit
+    # R(t-1) = a~_t + q~_t * R(t) per side (negated on the low side), from
+    # the lowest filled position down to n.
+    lowest = next(reversed(table))
+    lo, hi = table[lowest]
+    for t in range(lowest, n, -1):
+        a_lo, q_lo = sys.extremal_low(t)
+        a_hi, q_hi = sys.extremal_high(t)
+        lo = Enclosure(q_lo * lo.lo - a_lo, q_lo * lo.hi - a_lo)
+        hi = Enclosure(a_hi + q_hi * hi.lo, a_hi + q_hi * hi.hi)
+        table[t - 1] = (lo, hi)
+    return table[n]
 
 
 def value_range(sys: DigitSystem, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -207,7 +223,6 @@ def eval_enclosure(w: DigitWord, depth: int = DEFAULT_DEPTH) -> Enclosure:
         raise ParameterError(
             f"tail depth must exceed word length {len(w)}, got {depth!r}"
         )
-    base = eval_prefix(w)
-    weight = prefix_weight(w)
+    value, weight = prefix_walk(w)
     lo, hi = tail_bounds(w.system, len(w), depth)
-    return Enclosure(base + weight * lo.lo, base + weight * hi.hi)
+    return Enclosure(value + weight * lo.lo, value + weight * hi.hi)

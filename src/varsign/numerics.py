@@ -126,26 +126,6 @@ class Enclosure:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-def enc_ops(a: Enclosure, b, op: str) -> Enclosure:
-    """Dispatch form of the interval operations.
-
-    `b` is an Enclosure for add/sub/mul and a rational for scale.
-    """
-    if op == "add":
-        return a.add(b)
-    if op == "sub":
-        return a.sub(b)
-    if op == "mul":
-        return a.mul(b)
-    if op == "scale":
-        return a.scale(b)
-    raise DomainError(f"unknown enclosure op {op!r}")
-
-
-def enc_width(a: Enclosure) -> Fraction:
-    return a.width
-
-
 def parse_enclosure(doc) -> Enclosure:
     """Parse the wire form {"lo": "p/q", "hi": "p/q"}."""
     try:

@@ -331,10 +331,9 @@ class RuleColumns:
     that the provider makes no structural claims.
     """
 
-    def __init__(self, rule, vanishing_product=False, note=""):
+    def __init__(self, rule, vanishing_product=False):
         self._rule = rule
         self._vanishing = bool(vanishing_product)
-        self.note = note
         self._memo = {}
 
     def column(self, n: int):
@@ -386,8 +385,8 @@ class ValidationReport:
 class DigitSystem:
     """A sign set plus a column provider; immutable once constructed.
 
-    All accessors are pure; the only internal state is memoization, shared
-    with the expansion module's tail cache.
+    All accessors are pure and the system holds no cache of its own; tail
+    enclosures are cached by the expansion module.
     """
 
     def __init__(self, signs: SignSet, columns):
@@ -399,7 +398,6 @@ class DigitSystem:
                 raise ConstructionError(f"column provider lacks {name}()")
         self.signs = signs
         self.columns = columns
-        self._tail_memo = {}
 
     def column(self, n: int):
         return self.columns.column(n)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ from varsign import (
     eval_enclosure,
     eval_prefix,
     eval_signed_product,
+    example_a,
     make_classic,
     nega_s_adic,
+    prefix_walk,
     prefix_weight,
     s_adic,
     tail_bounds,
@@ -98,6 +102,37 @@ def test_tail_bounds_signs_and_nesting():
         deeper_lo, deeper_hi = tail_bounds(sys, 0, depth=24)
         assert lo.encloses(deeper_lo)
         assert hi.encloses(deeper_hi)
+
+
+def test_prefix_walk_is_value_and_weight():
+    rng = random.Random(SEED + 9)
+    for _ in range(100):
+        sys = random_periodic_system(rng)
+        w = word(sys, random_word_digits(rng, sys, rng.randint(0, 8)))
+        assert prefix_walk(w) == (eval_prefix(w), prefix_weight(w))
+
+
+def test_tail_bounds_do_not_depend_on_query_order():
+    # One system answers a shuffled stream of positions from its cached
+    # tables; a fresh copy of it (empty cache) answers each one directly.
+    rng = random.Random(SEED + 10)
+    systems = [random_periodic_system(rng) for _ in range(20)]
+    systems.append(make_classic(example_a()))
+    for sys in systems:
+        queries = [(n, depth) for depth in (9, 16) for n in range(depth)]
+        rng.shuffle(queries)
+        for n, depth in queries:
+            fresh = DigitSystem(sys.signs, sys.columns)
+            assert tail_bounds(sys, n, depth) == tail_bounds(fresh, n, depth)
+
+
+def test_tail_cache_does_not_keep_systems_alive():
+    sys = make_classic(nega_s_adic(2))
+    tail_bounds(sys, 0, depth=30)
+    alive = weakref.ref(sys)
+    del sys
+    gc.collect()
+    assert alive() is None
 
 
 def test_tail_bounds_parameter_guards():
