@@ -193,9 +193,10 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
         tables = _TAILS[sys] = {}
     table = tables.get(depth)
     if table is None:
-        table = tables[depth] = {
-            depth: (_tail_seed(sys, depth, True).neg(), _tail_seed(sys, depth, False))
-        }
+        table = tables[depth] = {depth: (
+            _tail_seed(sys, depth, low=True).neg(),
+            _tail_seed(sys, depth, low=False),
+        )}
     hit = table.get(n)
     if hit is not None:
         return hit

@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+from varsign.cli import main
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 PRESETS = os.path.join(HERE, os.pardir, "presets")
@@ -91,8 +93,6 @@ CASES["encode-example-a-short-depth"] = (
 
 def run_case(name):
     """(exit code, stdout) of one case, run in-process."""
-    from varsign.cli import main
-
     command, preset, args = CASES[name]
     spec = os.path.join(PRESETS, f"{preset}.json")
     out, err = io.StringIO(), io.StringIO()

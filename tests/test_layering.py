@@ -14,7 +14,8 @@ import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "varsign")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(HERE, os.pardir, "src", "varsign")
 
 
 def _private(name):
@@ -51,8 +52,9 @@ def violations(source, filename="<module>"):
             internal = node.level > 0 or (node.module or "").split(".")[0] == "varsign"
             for alias in node.names:
                 if internal and _private(alias.name):
+                    origin = "." * node.level + (node.module or "")
                     found.append(f"{filename}:{node.lineno}: imports "
-                                 f"{alias.name} from {'.' * node.level}{node.module or ''}")
+                                 f"{alias.name} from {origin}")
         elif isinstance(node, ast.Attribute) and _private(node.attr):
             receiver = node.value
             if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
