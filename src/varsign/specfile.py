@@ -16,8 +16,10 @@ or defers to a named classic:
     {"columns": {"kind": "classic", "name": "nega-s-adic", "params": {"s": 2}}}
 
 Only the classic "mixed" accepts (and requires) a top-level "nb".
-All rationals are strings "p/q" or "p".  Errors carry the JSON path
-(or line/column for malformed JSON) so they are easy to trace.
+All rationals are strings "p/q" or "p".  No column may have more than
+MAX_DIGITS digits; larger ones are refused before any entry is built.
+Errors carry the JSON path (or line/column for malformed JSON) so they are
+easy to trace.
 """
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ from .system import (
 )
 
 _NB_KINDS = ("empty", "all", "odd", "even", "list", "residues", "complement")
+
+# Largest alphabet a spec may ask for; it still admits s = 10**6.
+MAX_DIGITS = 2**20
 
 
 def _need(obj: dict, key: str, where: str):
@@ -60,6 +65,20 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError("expected an integer", where=where)
     return value
+
+
+def _check_alphabet(size, where: str) -> None:
+    """Refuse a column of more than MAX_DIGITS digits before it is built.
+
+    `size` is read with int(), as the classics read their parameters; a value
+    that int() rejects is left to the checks of whatever consumes it.
+    """
+    try:
+        size = int(size)
+    except (TypeError, ValueError, OverflowError):
+        return
+    if size > MAX_DIGITS:
+        raise SpecError(f"more than {MAX_DIGITS} digits", where=where)
 
 
 def _as_rational(value, where: str):
@@ -128,6 +147,7 @@ def _parse_column(obj, where: str):
             entries = _as_list(value, f"{where}.finite")
             if not entries:
                 raise SpecError("needs at least one entry", where=f"{where}.finite")
+            _check_alphabet(len(entries), f"{where}.finite")
             return FiniteColumn(
                 tuple(
                     _as_rational(e, f"{where}.finite[{i}]")
@@ -152,6 +172,7 @@ def _parse_column(obj, where: str):
             if extra:
                 raise SpecError(f"unexpected fields {sorted(extra)}",
                                 where=f"{where}.uniform")
+            _check_alphabet(s, f"{where}.uniform.s")
             return uniform_column(s)
     except SpecError:
         raise
@@ -185,6 +206,11 @@ def parse_spec(text: str) -> DigitSystem:
         extra = set(columns) - {"kind", "name", "params"}
         if extra:
             raise SpecError(f"unexpected fields {sorted(extra)}", where="columns")
+        if "s" in params:
+            _check_alphabet(params["s"], "columns.params.s")
+        if isinstance(params.get("q"), list):
+            for i, q in enumerate(params["q"]):
+                _check_alphabet(q, f"columns.params.q[{i}]")
         signs = None
         if "nb" in doc:
             signs = _parse_signs(doc["nb"], "nb")

@@ -8,12 +8,17 @@ the virtual position 0 is 0, which fixes the alternating column signs.
 
 Columns are indexed by digits from 0. `weight(i)` is the sum of the entries
 below digit i (the amount of mass to the left of the digit), the quantity the
-series evaluator multiplies by the running product of entries.
+series evaluator multiplies by the running product of entries. A finite
+column answers `weight` and `tail` in O(1) from an exact prefix-sum table
+that it builds on the first such call; `total` and `validate` sum the entries
+directly, so loading a spec never builds the table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import ConstructionError, DomainError, ParameterError
 from .numerics import ONE, ZERO, rat
@@ -150,7 +155,13 @@ class SignSet:
 
 @dataclass(frozen=True)
 class FiniteColumn:
-    """A finite column of weights indexed by digits 0..top_digit."""
+    """A finite column of weights indexed by digits 0..top_digit.
+
+    `weight(i)` and `tail(k)` are read from `_prefix`, the exact sums of the
+    first 0..s entries, built on the first call and kept on the instance. It
+    is not a dataclass field, so equality, hashing and `repr` ignore it.
+    `total` sums the entries itself and never builds the table.
+    """
 
     entries: tuple
 
@@ -181,15 +192,20 @@ class FiniteColumn:
             raise DomainError(f"digit {i} outside 0..{self.top_digit}")
         return self.entries[i]
 
+    @cached_property
+    def _prefix(self) -> tuple:
+        return tuple(accumulate(self.entries, initial=ZERO))
+
     def weight(self, i: int) -> Fraction:
         if not self.digit_valid(i):
             raise DomainError(f"digit {i} outside 0..{self.top_digit}")
-        return sum(self.entries[:i], ZERO)
+        return self._prefix[i]
 
     def tail(self, k: int) -> Fraction:
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"tail index must be >= 0, got {k!r}")
-        return sum(self.entries[k:], ZERO)
+        prefix = self._prefix
+        return prefix[-1] - prefix[min(k, len(self.entries))]
 
     @property
     def total(self) -> Fraction:

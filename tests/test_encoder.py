@@ -17,6 +17,7 @@ from varsign import (
     eval_prefix,
     make_classic,
     nega_s_adic,
+    oracle_eval,
     roundtrip_verify,
     s_adic,
     theorem_check,
@@ -175,3 +176,32 @@ def test_encode_prefix_value_approaches_target():
     assert result.status == "converged"
     approx = eval_prefix(result.digits)
     assert abs(approx - x) <= TOL
+
+
+def test_encode_wide_alphabet_gives_base_256_digits():
+    # x = (3N + 1) / (3 * 256**5) is never a cylinder boundary, so its
+    # base-256 digits are unique and the greedy choice must reproduce them.
+    rng = random.Random(SEED + 2)
+    sys = make_classic(s_adic(256))
+    for _ in range(20):
+        x = Fraction(3 * rng.randrange(256 ** 5) + 1, 3 * 256 ** 5)
+        result = encode(sys, x, TOL)
+        assert result.status == "converged"
+        assert len(result.digits) >= 4
+        expected = tuple(int(x * 256 ** k) % 256
+                         for k in range(1, len(result.digits) + 1))
+        assert result.digits.digits == expected
+
+
+def test_encode_wide_alphabets_roundtrip_against_oracle():
+    rng = random.Random(SEED + 3)
+    for kind in (nega_s_adic(192), cantor((64, 160, 96))):
+        sys = make_classic(kind)
+        lo, hi = value_range(sys, 40)
+        for _ in range(10):
+            x = rational_between(rng, lo.lo, hi.hi)
+            result = encode(sys, x, TOL)
+            assert result.status == "converged"
+            assert roundtrip_verify(sys, x, result, 40)
+            # the residual bounds x minus the word's exact value
+            assert result.residual.contains(x - oracle_eval(kind, result.digits.digits))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varsign import SpecError, load_spec, parse_spec, value_range
+from varsign.specfile import MAX_DIGITS
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
@@ -134,3 +135,39 @@ def test_nested_complement_sign_set():
 def test_missing_file():
     with pytest.raises(SpecError):
         load_spec("/nonexistent/system.json")
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"nb": {"kind": "odd"}, "columns": {"kind": "explicit",'
+     ' "list": [{"uniform": {"s": 1000000000000}}]}}',
+     "columns.list[0].uniform.s"),
+    ('{"nb": {"kind": "odd"}, "columns": {"kind": "explicit",'
+     ' "list": [{"uniform": {"s": 2}}, {"uniform": {"s": %d}}]}}' % (MAX_DIGITS + 1),
+     "columns.list[1].uniform.s"),
+    ('{"columns": {"kind": "classic", "name": "s-adic",'
+     ' "params": {"s": 1000000000000}}}',
+     "columns.params.s"),
+    ('{"columns": {"kind": "classic", "name": "nega-s-adic",'
+     ' "params": {"s": "1000000000000"}}}',
+     "columns.params.s"),
+    ('{"nb": {"kind": "odd"}, "columns": {"kind": "classic", "name": "mixed",'
+     ' "params": {"s": %d}}}' % (MAX_DIGITS + 1),
+     "columns.params.s"),
+    ('{"columns": {"kind": "classic", "name": "cantor",'
+     ' "params": {"q": [2, 1000000000000]}}}',
+     "columns.params.q[1]"),
+])
+def test_oversized_alphabets_rejected_before_building(text, where):
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.where == where
+    assert str(MAX_DIGITS) in str(err.value)
+
+
+def test_oversized_finite_list_rejected_before_parsing_entries():
+    # The entries are not even rationals: the length alone is refused.
+    text = ('{"nb": {"kind": "odd"}, "columns": {"kind": "explicit", "list":'
+            ' [{"finite": [' + ", ".join(["0"] * (MAX_DIGITS + 1)) + ']}]}}')
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.where == "columns.list[0].finite"

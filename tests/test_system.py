@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,11 @@ from varsign import (
     ListColumns,
     RuleColumns,
     SignSet,
+    parse_spec,
     uniform_column,
 )
+
+SEED = 0x5EED
 
 
 def test_sign_set_kinds():
@@ -75,6 +79,72 @@ def test_finite_column_accessors():
     assert col.tail(1) == Fraction(1, 2)
     assert col.total == 1
     assert col.sup_entry == Fraction(1, 2)
+
+
+def _random_weights(rng, size, ordered):
+    weights = [rng.randint(1, 9) for _ in range(size)]
+    if ordered:
+        weights.sort(reverse=True)
+    return weights
+
+
+def _column_of(weights):
+    total = sum(weights)
+    return FiniteColumn(tuple(Fraction(w, total) for w in weights))
+
+
+def test_finite_column_weight_and_tail_match_plain_sums():
+    # The entries share one denominator, so the plain sums of entries[:i]
+    # and entries[k:] are integer sums of the weights over that denominator.
+    rng = random.Random(SEED)
+    for size in (1, 2, 3, 17, 600, *(rng.randint(4, 600) for _ in range(3))):
+        for ordered in (True, False):
+            weights = _random_weights(rng, size, ordered)
+            total = sum(weights)
+            # one column builds its table from weight, the other from tail
+            by_weight, by_tail = _column_of(weights), _column_of(weights)
+            assert by_weight.weight(size - 1) == Fraction(total - weights[-1], total)
+            assert by_tail.tail(size) == 0
+            for i in range(size):
+                below = Fraction(sum(weights[:i]), total)
+                assert by_weight.weight(i) == below
+                assert by_tail.weight(i) == below
+            for k in range(size + 3):
+                above = Fraction(sum(weights[k:]), total)
+                assert by_weight.tail(k) == above
+                assert by_tail.tail(k) == above
+
+
+def test_finite_column_rejects_digits_outside_alphabet():
+    col = _column_of(_random_weights(random.Random(SEED), 5, False))
+    for bad in (-1, 5, 10 ** 9, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            col.weight(bad)
+    for bad in (-1, 1.0, None):
+        with pytest.raises(DomainError):
+            col.tail(bad)
+    # the built table holds s + 1 sums, so digit s must still be refused
+    col.weight(2)
+    with pytest.raises(DomainError):
+        col.weight(5)
+
+
+def test_finite_column_table_is_invisible():
+    weights = _random_weights(random.Random(SEED), 40, False)
+    used, fresh = _column_of(weights), _column_of(weights)
+    used.weight(7)
+    assert "_prefix" in vars(used) and "_prefix" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert "_prefix" not in repr(used)
+
+
+def test_parse_spec_builds_no_prefix_table():
+    system = parse_spec(
+        '{"nb": {"kind": "odd"},'
+        ' "columns": {"kind": "explicit", "list": [{"uniform": {"s": 1000}}]}}'
+    )
+    assert "_prefix" not in vars(system.column(1))
 
 
 def test_geometric_column_closed_forms():
