@@ -1,7 +1,7 @@
 """Golden machine output: every command on every preset, byte for byte.
 
-Each case runs the CLI in-process with `--format machine` and compares its
-stdout with `golden/<case>.out` and its exit code with `golden/exit_codes.json`.
+Each case runs the CLI in-process with `--format machine` on a preset (or on
+a spec under `golden/specs/` that no preset covers) and compares its stdout with `golden/<case>.out` and its exit code with `golden/exit_codes.json`.
 The files record the intended output; a change to them is a change in
 behaviour and must be deliberate.  Re-record after such a change with
 
@@ -20,6 +20,8 @@ from varsign.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 PRESETS = os.path.join(HERE, os.pardir, "presets")
+# Specs that only the golden cases use, kept out of presets/.
+SPECS = os.path.join(GOLDEN, "specs")
 EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
 
 # preset -> command -> fixed arguments (all valid for that preset)
@@ -90,11 +92,43 @@ CASES["eval-nega-binary-deep"] = (
 CASES["encode-example-a-short-depth"] = (
     "encode", "example-a", ["--depth", "6", "--x", "7/19", "--tol", "1/1000000"])
 
+# Sign sets no preset reaches: every position, the even ones, a complemented
+# residue rule, and a listed position past the depth with its complement.
+SIGN_ARGS = {
+    "signs-all": {
+        "encode": ["--x", "-37/100"],
+        "placement": ["--base", "2,1,0", "--digit", "0"],
+    },
+    "signs-even": {
+        "encode": ["--x", "1/3"],
+        "placement": ["--base", "1,1,2", "--digit", "0"],
+    },
+    "signs-complement-residues": {
+        "encode": ["--x", "-1/3"],
+        "placement": ["--base", "2,0,1", "--digit", "1"],
+    },
+    "signs-list-far": {
+        "encode": ["--x", "3/5"],
+        "placement": ["--base", "0,2", "--digit", "1"],
+    },
+    "signs-complement-list": {
+        "encode": ["--x", "-3/5"],
+        "placement": ["--base", "2,1,0", "--digit", "1"],
+    },
+}
+for _spec, _args in SIGN_ARGS.items():
+    _args["range"] = []
+    _args["theorem"] = ["--rank", "8"]
+    for _command in ("range", "theorem", "encode", "placement"):
+        CASES[f"{_command}-{_spec}"] = (_command, _spec, _args[_command])
+
 
 def run_case(name):
     """(exit code, stdout) of one case, run in-process."""
     command, preset, args = CASES[name]
     spec = os.path.join(PRESETS, f"{preset}.json")
+    if not os.path.exists(spec):
+        spec = os.path.join(SPECS, f"{preset}.json")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--spec", spec, "--format", "machine", *args])
