@@ -15,9 +15,10 @@ or defers to a named classic:
 
     {"columns": {"kind": "classic", "name": "nega-s-adic", "params": {"s": 2}}}
 
-Only the classic "mixed" accepts (and requires) a top-level "nb".
-All rationals are strings "p/q" or "p".  No column may have more than
-MAX_DIGITS digits; larger ones are refused before any entry is built.
+Only the classic "mixed" accepts (and requires) a top-level "nb".  The
+classic parameters are JSON integers ("s") or arrays of them ("q"); all
+rationals are strings "p/q" or "p".  No column may have more than MAX_DIGITS
+digits; larger ones are refused before any entry is built.
 Errors carry the JSON path (or line/column for malformed JSON) so they are
 easy to trace.
 """
@@ -67,16 +68,8 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _check_alphabet(size, where: str) -> None:
-    """Refuse a column of more than MAX_DIGITS digits before it is built.
-
-    `size` is read with int(), as the classics read their parameters; a value
-    that int() rejects is left to the checks of whatever consumes it.
-    """
-    try:
-        size = int(size)
-    except (TypeError, ValueError, OverflowError):
-        return
+def _check_alphabet(size: int, where: str) -> None:
+    """Refuse a column of more than MAX_DIGITS digits before it is built."""
     if size > MAX_DIGITS:
         raise SpecError(f"more than {MAX_DIGITS} digits", where=where)
 
@@ -189,6 +182,10 @@ def parse_spec(text: str) -> DigitSystem:
         raise SpecError(
             f"invalid JSON: {exc.msg}", where=f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the interpreter's recursion limit, or an
+        # integer literal longer than int() accepts.
+        raise SpecError(f"invalid JSON: {exc}", where="$") from exc
     doc = _as_dict(doc, "$")
     extra = set(doc) - {"nb", "columns"}
     if extra:
@@ -207,10 +204,13 @@ def parse_spec(text: str) -> DigitSystem:
         if extra:
             raise SpecError(f"unexpected fields {sorted(extra)}", where="columns")
         if "s" in params:
-            _check_alphabet(params["s"], "columns.params.s")
-        if isinstance(params.get("q"), list):
-            for i, q in enumerate(params["q"]):
-                _check_alphabet(q, f"columns.params.q[{i}]")
+            where = "columns.params.s"
+            _check_alphabet(_as_int(params["s"], where), where)
+        if "q" in params:
+            qs = _as_list(params["q"], "columns.params.q")
+            for i, q in enumerate(qs):
+                where = f"columns.params.q[{i}]"
+                _check_alphabet(_as_int(q, where), where)
         signs = None
         if "nb" in doc:
             signs = _parse_signs(doc["nb"], "nb")

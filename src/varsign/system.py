@@ -15,7 +15,7 @@ directly, so loading a spec never builds the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -38,48 +38,48 @@ PRODUCT_THRESHOLD = Fraction(1, 2**64)
 class SignSet:
     """The set of positions whose series term carries a negative sign.
 
+    Every sign set is kept in one eventually periodic normal form: position
+    n >= 1 is marked iff
+
+        ((n in flips) != (n >= start and n % period in residues)) != negated
+
+    that is, a periodic residue rule switched on at `start`, with finitely
+    many positions `flips` toggled and the whole set optionally negated.
     Construct through the classmethods; membership is queried with
-    `contains(n)` for positions n >= 1. Every rule is eventually periodic,
-    which the tail machinery exploits: `periodicity()` returns (preperiod,
-    period) such that membership(t) == membership(t + period) for all
-    t > preperiod.
+    `contains(n)`. `periodicity()` returns (preperiod, period) such that
+    membership(t) == membership(t + period) for all t > preperiod, and the
+    `has_*_beyond` queries take time proportional to the number of flips,
+    however large the listed positions or the period are.
     """
 
-    kind: str
-    members: frozenset = frozenset()
-    modulus: int = 0
+    flips: frozenset = frozenset()
+    start: int = 0
+    period: int = 1
     residues: frozenset = frozenset()
-    start_k: int = 0
-    inner: "SignSet | None" = None
-
-    _KINDS = ("empty", "all", "odd", "even", "list", "residues", "complement")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ConstructionError(f"unknown sign-set kind {self.kind!r}")
+    negated: bool = False
 
     @classmethod
     def none(cls) -> "SignSet":
-        return cls("empty")
+        return cls()
 
     @classmethod
     def every(cls) -> "SignSet":
-        return cls("all")
+        return cls(residues=frozenset({0}))
 
     @classmethod
     def odd(cls) -> "SignSet":
-        return cls("odd")
+        return cls(period=2, residues=frozenset({1}))
 
     @classmethod
     def even(cls) -> "SignSet":
-        return cls("even")
+        return cls(period=2, residues=frozenset({0}))
 
     @classmethod
     def from_list(cls, members) -> "SignSet":
         members = frozenset(int(m) for m in members)
         if any(m < 1 for m in members):
             raise ConstructionError("listed positions must be >= 1")
-        return cls("list", members=members)
+        return cls(flips=members)
 
     @classmethod
     def residue_classes(cls, modulus, residues, start_k=0) -> "SignSet":
@@ -95,54 +95,45 @@ class SignSet:
             raise ConstructionError("need at least one residue")
         if any(not (0 <= r < modulus) for r in residues):
             raise ConstructionError("residues must lie in [0, modulus)")
-        return cls("residues", modulus=modulus, residues=residues, start_k=start_k)
+        # Block start_k is listed; the rule runs from block start_k + 1 on,
+        # which keeps the preperiod at modulus * (start_k + 1).
+        first = modulus * start_k
+        return cls(
+            flips=frozenset(first + r for r in residues if first + r >= 1),
+            start=first + modulus,
+            period=modulus,
+            residues=residues,
+        )
 
     @classmethod
     def complement(cls, inner: "SignSet") -> "SignSet":
-        return cls("complement", inner=inner)
+        return replace(inner, negated=not inner.negated)
 
     def contains(self, n: int) -> bool:
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"position must be a positive integer, got {n!r}")
-        k = self.kind
-        if k == "empty":
-            return False
-        if k == "all":
-            return True
-        if k == "odd":
-            return n % 2 == 1
-        if k == "even":
-            return n % 2 == 0
-        if k == "list":
-            return n in self.members
-        if k == "residues":
-            r = n % self.modulus
-            return r in self.residues and (n - r) // self.modulus >= self.start_k
-        return not self.inner.contains(n)
+        periodic = n >= self.start and n % self.period in self.residues
+        return ((n in self.flips) != periodic) != self.negated
 
     def periodicity(self) -> tuple:
-        k = self.kind
-        if k in ("empty", "all"):
-            return (0, 1)
-        if k in ("odd", "even"):
-            return (0, 2)
-        if k == "list":
-            return (max(self.members, default=0), 1)
-        if k == "residues":
-            return (self.modulus * (self.start_k + 1), self.modulus)
-        return self.inner.periodicity()
-
-    def _window_beyond(self, bound: int) -> range:
-        # Membership beyond `bound` is decided by the stretch up to the
-        # preperiod plus one full period: everything later repeats it.
-        pre, period = self.periodicity()
-        return range(bound + 1, max(bound, pre) + period + 1)
+        return (max(self.flips | {self.start}), self.period)
 
     def has_members_beyond(self, bound: int) -> bool:
-        return any(self.contains(t) for t in self._window_beyond(bound))
+        # Past the start and the last flip, the marked residue classes repeat.
+        marked = len(self.residues)
+        if (self.period - marked if self.negated else marked) > 0:
+            return True
+        # Otherwise a position at or past the start is marked iff flipped, and
+        # one below the start iff flipped != negated.
+        if any(f > bound and f >= self.start for f in self.flips):
+            return True
+        below = sum(1 for f in self.flips if bound < f < self.start)
+        if self.negated:
+            return self.start - 1 - bound > below
+        return below > 0
 
     def has_nonmembers_beyond(self, bound: int) -> bool:
-        return any(not self.contains(t) for t in self._window_beyond(bound))
+        return SignSet.complement(self).has_members_beyond(bound)
 
     def members_up_to(self, limit: int) -> list:
         """The increasing enumeration of members, cut at `limit`."""
@@ -435,10 +426,6 @@ class DigitSystem:
 
     def digit_valid(self, i: int, n: int) -> bool:
         return self.column(n).digit_valid(i)
-
-    def digit_weight(self, i: int, n: int) -> Fraction:
-        """Mass below digit i in column n (exact, also for infinite columns)."""
-        return self.column(n).weight(i)
 
     def extremal_low(self, n: int) -> tuple:
         """(weight, entry) of the digit driving the series to its infimum at

@@ -25,23 +25,95 @@ def random_column(rng: random.Random, max_digits: int = 4) -> FiniteColumn:
     return FiniteColumn(tuple(Fraction(w, total) for w in weights))
 
 
-def random_signs(rng: random.Random, horizon: int = 12) -> SignSet:
-    pick = rng.randrange(6)
+def random_sign_rule(rng: random.Random, horizon: int = 12,
+                     nesting: int = 2) -> tuple:
+    """A random sign-set description: a tuple naming a constructor and its
+    arguments, e.g. ("list", (2, 5)) or ("complement", ("odd",)).  Listed
+    positions may lie past `horizon`; complements nest up to `nesting` deep."""
+    pick = rng.randrange(7 if nesting > 0 else 6)
     if pick == 0:
-        return SignSet.none()
+        return ("none",)
     if pick == 1:
-        return SignSet.every()
+        return ("every",)
     if pick == 2:
-        return SignSet.odd()
+        return ("odd",)
     if pick == 3:
-        return SignSet.even()
+        return ("even",)
     if pick == 4:
         members = [n for n in range(1, horizon + 1) if rng.random() < 0.4]
-        return SignSet.from_list(members) if members else SignSet.none()
-    modulus = rng.randint(1, 4)
-    count = rng.randint(1, modulus)
-    residues = sorted({rng.randrange(modulus) for _ in range(count)})
-    return SignSet.residue_classes(modulus, residues, start_k=rng.randint(0, 1))
+        if rng.random() < 0.3:
+            members.append(rng.randint(horizon + 1, 4 * horizon))
+        return ("list", tuple(members))
+    if pick == 5:
+        modulus = rng.randint(1, 4)
+        count = rng.randint(1, modulus)
+        residues = tuple(sorted({rng.randrange(modulus) for _ in range(count)}))
+        return ("residues", modulus, residues, rng.randint(0, 2))
+    return ("complement", random_sign_rule(rng, horizon, nesting - 1))
+
+
+def build_signs(rule: tuple) -> SignSet:
+    kind, *args = rule
+    if kind == "none":
+        return SignSet.none()
+    if kind == "every":
+        return SignSet.every()
+    if kind == "odd":
+        return SignSet.odd()
+    if kind == "even":
+        return SignSet.even()
+    if kind == "list":
+        return SignSet.from_list(args[0])
+    if kind == "residues":
+        return SignSet.residue_classes(*args)
+    return SignSet.complement(build_signs(args[0]))
+
+
+def random_signs(rng: random.Random, horizon: int = 12) -> SignSet:
+    return build_signs(random_sign_rule(rng, horizon))
+
+
+def reference_contains(rule: tuple, n: int) -> bool:
+    """Membership of position n, read off the description kind by kind: an
+    independent route against which SignSet.contains is tested."""
+    kind, *args = rule
+    if kind == "none":
+        return False
+    if kind == "every":
+        return True
+    if kind == "odd":
+        return n % 2 == 1
+    if kind == "even":
+        return n % 2 == 0
+    if kind == "list":
+        return n in args[0]
+    if kind == "residues":
+        modulus, residues, start_k = args
+        return n % modulus in residues and n // modulus >= start_k
+    return not reference_contains(args[0], n)
+
+
+def reference_periodicity(rule: tuple) -> tuple:
+    """(preperiod, period) of each kind, as the tail seed expects them."""
+    kind, *args = rule
+    if kind in ("none", "every"):
+        return (0, 1)
+    if kind in ("odd", "even"):
+        return (0, 2)
+    if kind == "list":
+        return (max(args[0], default=0), 1)
+    if kind == "residues":
+        modulus, _, start_k = args
+        return (modulus * (start_k + 1), modulus)
+    return reference_periodicity(args[0])
+
+
+def reference_marked_beyond(rule: tuple, bound: int, marked: bool) -> bool:
+    """Whether some position past `bound` has membership `marked`, found by
+    scanning past the preperiod for one full period."""
+    pre, period = reference_periodicity(rule)
+    return any(reference_contains(rule, t) == marked
+               for t in range(bound + 1, max(bound, pre) + period + 1))
 
 
 def random_finite_system(rng: random.Random, support: int = 10,

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varsign import SpecError, load_spec, parse_spec, value_range
+from varsign.cli import main
 from varsign.specfile import MAX_DIGITS
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
@@ -148,7 +149,7 @@ def test_missing_file():
      ' "params": {"s": 1000000000000}}}',
      "columns.params.s"),
     ('{"columns": {"kind": "classic", "name": "nega-s-adic",'
-     ' "params": {"s": "1000000000000"}}}',
+     ' "params": {"s": 1000000000000}}}',
      "columns.params.s"),
     ('{"nb": {"kind": "odd"}, "columns": {"kind": "classic", "name": "mixed",'
      ' "params": {"s": %d}}}' % (MAX_DIGITS + 1),
@@ -171,3 +172,51 @@ def test_oversized_finite_list_rejected_before_parsing_entries():
     with pytest.raises(SpecError) as err:
         parse_spec(text)
     assert err.value.where == "columns.list[0].finite"
+
+
+@pytest.mark.parametrize("params, where", [
+    ('"s": "x"', "columns.params.s"),
+    ('"s": "1000000000000"', "columns.params.s"),
+    ('"s": 1e400', "columns.params.s"),
+    ('"s": 2.5', "columns.params.s"),
+    ('"s": true', "columns.params.s"),
+    ('"q": 5', "columns.params.q"),
+    ('"q": ["7", 3]', "columns.params.q[0]"),
+    ('"q": [7, 3.9]', "columns.params.q[1]"),
+])
+def test_classic_parameters_must_be_integers(params, where):
+    name = "cantor" if '"q"' in params else "s-adic"
+    text = ('{"columns": {"kind": "classic", "name": "%s", "params": {%s}}}'
+            % (name, params))
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.where == where
+
+
+def _nested_complements(depth: int) -> str:
+    return ('{"nb": ' + '{"kind": "complement", "of": ' * depth + '{"kind": "odd"}'
+            + "}" * depth
+            + ', "columns": {"kind": "explicit", "list": [{"uniform": {"s": 2}}]}}')
+
+
+def test_nesting_past_the_recursion_limit_is_a_spec_error(tmp_path):
+    shallow = parse_spec(_nested_complements(101))
+    assert shallow.signs.contains(2) and not shallow.signs.contains(3)
+    text = _nested_complements(1200)
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.where == "$"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["range", "--spec", str(path)]) == 2
+
+
+def test_overlong_integer_literal_is_a_spec_error(tmp_path):
+    text = ('{"columns": {"kind": "classic", "name": "s-adic",'
+            ' "params": {"s": ' + "9" * 5000 + "}}}")
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert err.value.where == "$"
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["range", "--spec", str(path)]) == 2

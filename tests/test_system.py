@@ -15,7 +15,16 @@ from varsign import (
     RuleColumns,
     SignSet,
     parse_spec,
+    theorem_check,
     uniform_column,
+    value_range,
+)
+from support import (
+    build_signs,
+    random_sign_rule,
+    reference_contains,
+    reference_marked_beyond,
+    reference_periodicity,
 )
 
 SEED = 0x5EED
@@ -66,6 +75,74 @@ def test_sign_set_horizon_scans():
     assert not SignSet.every().has_nonmembers_beyond(1)
     assert SignSet.odd().has_members_beyond(10 ** 6)
     assert listed.members_up_to(4) == [2]
+
+
+def test_sign_sets_agree_with_reference():
+    rng = random.Random(SEED)
+    for _ in range(1500):
+        rule = random_sign_rule(rng, horizon=rng.choice((5, 12, 30)), nesting=3)
+        signs = build_signs(rule)
+        assert signs.periodicity() == reference_periodicity(rule), rule
+        for n in range(1, 80):
+            assert signs.contains(n) == reference_contains(rule, n), (rule, n)
+        for bound in range(40):
+            assert signs.has_members_beyond(bound) == reference_marked_beyond(
+                rule, bound, True), (rule, bound)
+            assert signs.has_nonmembers_beyond(bound) == reference_marked_beyond(
+                rule, bound, False), (rule, bound)
+
+
+@pytest.mark.parametrize("signs, expected", [
+    (SignSet.none(), (0, 1)),
+    (SignSet.every(), (0, 1)),
+    (SignSet.odd(), (0, 2)),
+    (SignSet.even(), (0, 2)),
+    (SignSet.from_list([]), (0, 1)),
+    (SignSet.from_list([3, 17, 5]), (17, 1)),
+    (SignSet.residue_classes(4, (1, 2)), (4, 4)),
+    (SignSet.residue_classes(4, (0,)), (4, 4)),
+    (SignSet.residue_classes(4, (1, 2), start_k=1), (8, 4)),
+    (SignSet.residue_classes(5, (0, 4), start_k=3), (20, 5)),
+    (SignSet.complement(SignSet.odd()), (0, 2)),
+    (SignSet.complement(SignSet.from_list([9])), (9, 1)),
+    (SignSet.complement(SignSet.complement(SignSet.residue_classes(3, (2,), 2))),
+     (9, 3)),
+])
+def test_sign_set_periodicity_pinned(signs, expected):
+    # The tail seed takes its periodic branch only from the preperiod on, so
+    # these values fix which tail enclosures are exact at small depths.
+    assert signs.periodicity() == expected
+
+
+FAR_LIST = SignSet.from_list([10 ** 18])
+FAR_RESIDUE = SignSet.residue_classes(10 ** 12, [10 ** 12 - 1])
+
+
+@pytest.mark.parametrize("signs, members, nonmembers", [
+    (FAR_LIST, True, True),
+    (SignSet.complement(FAR_LIST), True, True),
+    (FAR_RESIDUE, True, True),
+    (SignSet.complement(FAR_RESIDUE), True, True),
+])
+def test_far_positions_answer_in_closed_form(signs, members, nonmembers):
+    assert signs.has_members_beyond(40) == members
+    assert signs.has_nonmembers_beyond(40) == nonmembers
+    system = DigitSystem(signs, ListColumns(
+        (FiniteColumn((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+         uniform_column(2))))
+    lo, hi = value_range(system, 40)
+    assert lo.lo <= lo.hi <= hi.lo <= hi.hi
+    assert theorem_check(system, 8).checks
+
+
+def test_far_list_past_its_last_member():
+    assert not FAR_LIST.has_members_beyond(10 ** 18)
+    assert FAR_LIST.has_members_beyond(10 ** 18 - 1)
+    complement = SignSet.complement(FAR_LIST)
+    assert not complement.has_nonmembers_beyond(10 ** 18)
+    assert complement.has_nonmembers_beyond(10 ** 18 - 1)
+    assert FAR_RESIDUE.contains(10 ** 12 - 1)
+    assert not FAR_RESIDUE.contains(10 ** 12)
 
 
 def test_finite_column_accessors():
