@@ -122,6 +122,29 @@ for _spec, _args in SIGN_ARGS.items():
     for _command in ("range", "theorem", "encode", "placement"):
         CASES[f"{_command}-{_spec}"] = (_command, _spec, _args[_command])
 
+# Tails no preset reaches: example-b far past the default depth (rule columns
+# with uniform columns of up to 200 digits), a 1000-digit uniform column in a
+# cycle under a residue rule, and marked geometric columns at depth 120.
+CASES["range-example-b-depth200"] = ("range", "example-b", ["--depth", "200"])
+CASES["theorem-example-b-rank20"] = ("theorem", "example-b", ["--rank", "20"])
+TAIL_ARGS = {
+    "uniform-cycle": {
+        "range": [],
+        "theorem": ["--rank", "1"],
+        "encode": ["--x", "3/10"],
+        "placement": ["--base", "1,517", "--digit", "1"],
+    },
+    "geometric-marked": {
+        "range": ["--depth", "120"],
+        "theorem": ["--depth", "120", "--rank", "12"],
+        "encode": ["--depth", "120", "--x", "-2/7"],
+        "placement": ["--depth", "120", "--base", "2,1,3", "--digit", "1"],
+    },
+}
+for _spec, _args in TAIL_ARGS.items():
+    for _command, _argv in _args.items():
+        CASES[f"{_command}-{_spec}"] = (_command, _spec, _argv)
+
 
 def run_case(name):
     """(exit code, stdout) of one case, run in-process."""
