@@ -14,7 +14,6 @@ from .errors import ConstructionError, DomainError
 from .numerics import ZERO, rat
 from .system import (
     DigitSystem,
-    FiniteColumn,
     GeometricColumn,
     ListColumns,
     RuleColumns,
@@ -101,7 +100,7 @@ def _example_a_column(n: int) -> GeometricColumn:
 
 def _example_b_column(n: int):
     if n == 1:
-        return FiniteColumn((rat(1, 2), rat(1, 2)))
+        return uniform_column(2)
     if n % 2 == 1:
         return uniform_column(n)
     return GeometricColumn(rat(n + 1, n + 3), rat(2, n + 3))

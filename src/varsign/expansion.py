@@ -127,11 +127,35 @@ def eval_signed_product(w: DigitWord) -> Fraction:
 # Tail enclosures
 
 
+def _extremal(sys: DigitSystem, t: int) -> tuple:
+    """The (weight, entry) pairs of the digits driving the series to its
+    infimum and to its supremum at position t, as (low, high).
+
+    The top digit (limit (1, 0) for infinite columns) drives the low side on
+    marked positions and the high side elsewhere; digit 0 drives the other.
+    """
+    col = sys.column(t)
+    if col.is_infinite:
+        top = (ONE, ZERO)
+    else:
+        k = col.top_digit
+        top = (col.weight(k), col.entry(k))
+    bottom = (ZERO, col.entry(0))
+    return (top, bottom) if sys.signs.contains(t) else (bottom, top)
+
+
+def _over_common(x: Fraction, y: Fraction) -> tuple:
+    """(X, Y, c) with x = X/c and y = Y/c, without a gcd."""
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return x.numerator, y.numerator, xd
+    return x.numerator * yd, y.numerator * xd, xd * yd
+
+
 def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
     """Enclosure of the low (or high) tail magnitude past position depth."""
     signs = sys.signs
     cols = sys.columns
-    extremal = sys.extremal_low if low else sys.extremal_high
     members = signs.has_members_beyond(depth)
     nonmembers = signs.has_nonmembers_beyond(depth)
     contributors_beyond, others_beyond = (
@@ -153,15 +177,16 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
         pre = max(per[0], signs.periodicity()[0])
         period = math.lcm(per[1], signs.periodicity()[1])
         if depth >= pre:
-            partial = ZERO
-            running = ONE
+            # partial/den and running/den over one period, den unreduced.
+            partial, running, den = 0, 1, 1
             for t in range(depth + 1, depth + period + 1):
-                a, q = extremal(t)
-                partial += running * a
+                a, q, c = _over_common(*_extremal(sys, t)[0 if low else 1])
+                partial = partial * c + running * a
                 running *= q
-            if running < 1:
+                den *= c
+            if running < den:
                 # R = partial + running * R over one period.
-                return Enclosure.point(partial / (1 - running))
+                return Enclosure.point(Fraction(partial, den - running))
             if partial == 0:
                 return Enclosure.point(0)
 
@@ -201,16 +226,39 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     if hit is not None:
         return hit
     # R(t-1) = a~_t + q~_t * R(t) per side (negated on the low side), from
-    # the lowest filled position down to n.
+    # the lowest filled position down to n. Each side carries the numerators
+    # of both endpoints over one unreduced denominator: with a~ = A/c and
+    # q~ = Q/c, num/den becomes (A*den + Q*num)/(c*den). Only the stored
+    # entries are reduced. The limit pair (1, 0) of an infinite column drops
+    # the carried tail, so its side restarts at the point -1 or 1 over 1.
     lowest = next(reversed(table))
     lo, hi = table[lowest]
+    lo_a, lo_b, lo_den = _over_common(lo.lo, lo.hi)
+    hi_a, hi_b, hi_den = _over_common(hi.lo, hi.hi)
     for t in range(lowest, n, -1):
-        a_lo, q_lo = sys.extremal_low(t)
-        a_hi, q_hi = sys.extremal_high(t)
-        lo = Enclosure(q_lo * lo.lo - a_lo, q_lo * lo.hi - a_lo)
-        hi = Enclosure(a_hi + q_hi * hi.lo, a_hi + q_hi * hi.hi)
-        table[t - 1] = (lo, hi)
+        low, high = _extremal(sys, t)
+        a, q, c = _over_common(*low)
+        if q:
+            lo_a, lo_b = q * lo_a - a * lo_den, q * lo_b - a * lo_den
+            lo_den *= c
+        else:
+            lo_a = lo_b = -a
+            lo_den = c
+        a, q, c = _over_common(*high)
+        if q:
+            hi_a, hi_b = a * hi_den + q * hi_a, a * hi_den + q * hi_b
+            hi_den *= c
+        else:
+            hi_a = hi_b = a
+            hi_den = c
+        table[t - 1] = (_reduced(lo_a, lo_b, lo_den), _reduced(hi_a, hi_b, hi_den))
     return table[n]
+
+
+def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:
+    """Enclosure [num_lo/den, num_hi/den], each endpoint reduced once."""
+    lo = Fraction(num_lo, den)
+    return Enclosure(lo, lo if num_lo == num_hi else Fraction(num_hi, den))
 
 
 def value_range(sys: DigitSystem, depth: int = DEFAULT_DEPTH) -> tuple:

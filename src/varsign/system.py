@@ -8,10 +8,14 @@ the virtual position 0 is 0, which fixes the alternating column signs.
 
 Columns are indexed by digits from 0. `weight(i)` is the sum of the entries
 below digit i (the amount of mass to the left of the digit), the quantity the
-series evaluator multiplies by the running product of entries. A finite
-column answers `weight` and `tail` in O(1) from an exact prefix-sum table
-that it builds on the first such call; `total` and `validate` sum the entries
-directly, so loading a spec never builds the table.
+series evaluator multiplies by the running product of entries. Three column
+shapes exist. A uniform column of s digits (every classic and every
+`uniform` spec) is symbolic: it stores only s and the entry 1/s, and answers
+every query, and its check in `validate`, in O(1) whatever s. An explicit
+finite column answers `weight` and `tail` in O(1) from an exact prefix-sum
+table that it builds on the first such call; `total` and `validate` sum the
+entries directly, so loading a spec never builds the table. A geometric
+column is infinite and answers from closed forms.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import ConstructionError, DomainError, ParameterError
-from .numerics import ONE, ZERO, rat
+from .numerics import ONE, ZERO
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -46,10 +50,12 @@ class SignSet:
     that is, a periodic residue rule switched on at `start`, with finitely
     many positions `flips` toggled and the whole set optionally negated.
     Construct through the classmethods; membership is queried with
-    `contains(n)`. `periodicity()` returns (preperiod, period) such that
-    membership(t) == membership(t + period) for all t > preperiod, and the
-    `has_*_beyond` queries take time proportional to the number of flips,
-    however large the listed positions or the period are.
+    `contains(n)`. The constructor refuses fields outside the normal form: a
+    period below 1, a residue outside [0, period), a negative start or a
+    flipped position below 1. `periodicity()` returns (preperiod, period)
+    such that membership(t) == membership(t + period) for all t > preperiod,
+    and the `has_*_beyond` queries take time proportional to the number of
+    flips, however large the listed positions or the period are.
     """
 
     flips: frozenset = frozenset()
@@ -57,6 +63,16 @@ class SignSet:
     period: int = 1
     residues: frozenset = frozenset()
     negated: bool = False
+
+    def __post_init__(self):
+        if self.period < 1:
+            raise ConstructionError("period must be >= 1")
+        if any(not 0 <= r < self.period for r in self.residues):
+            raise ConstructionError("residues must lie in [0, period)")
+        if self.start < 0:
+            raise ConstructionError("start must be >= 0")
+        if any(f < 1 for f in self.flips):
+            raise ConstructionError("listed positions must be >= 1")
 
     @classmethod
     def none(cls) -> "SignSet":
@@ -76,10 +92,7 @@ class SignSet:
 
     @classmethod
     def from_list(cls, members) -> "SignSet":
-        members = frozenset(int(m) for m in members)
-        if any(m < 1 for m in members):
-            raise ConstructionError("listed positions must be >= 1")
-        return cls(flips=members)
+        return cls(flips=frozenset(int(m) for m in members))
 
     @classmethod
     def residue_classes(cls, modulus, residues, start_k=0) -> "SignSet":
@@ -146,11 +159,13 @@ class SignSet:
 
 @dataclass(frozen=True)
 class FiniteColumn:
-    """A finite column of weights indexed by digits 0..top_digit.
+    """An explicit finite column of weights indexed by digits 0..top_digit.
 
-    `weight(i)` and `tail(k)` are read from `_prefix`, the exact sums of the
-    first 0..s entries, built on the first call and kept on the instance. It
-    is not a dataclass field, so equality, hashing and `repr` ignore it.
+    Built from `finite` spec lists and hand-made columns; uniform columns
+    use the symbolic `UniformColumn` instead. `weight(i)` and `tail(k)` are
+    read from `_prefix`, the exact sums of the first 0..s entries, built on
+    the first call and kept on the instance. It is not a dataclass field, so
+    equality, hashing and `repr` ignore it.
     `total` sums the entries itself and never builds the table.
     """
 
@@ -205,6 +220,60 @@ class FiniteColumn:
     @property
     def sup_entry(self) -> Fraction:
         return max(self.entries)
+
+
+@dataclass(frozen=True)
+class UniformColumn:
+    """The column of s equal entries 1/s, digits 0..s-1, in closed form.
+
+    Only s and the entry 1/s are stored, so every query is O(1) whatever s:
+    weight(i) = i/s, tail(k) = max(s - k, 0)/s, total 1, sup entry 1/s.
+    """
+
+    s: int
+
+    def __post_init__(self):
+        if not isinstance(self.s, int) or self.s < 2:
+            raise ConstructionError("uniform column needs at least 2 digits")
+        object.__setattr__(self, "_entry", Fraction(1, self.s))
+
+    @property
+    def is_infinite(self) -> bool:
+        return False
+
+    @property
+    def is_singleton(self) -> bool:
+        return False
+
+    @property
+    def top_digit(self) -> int:
+        return self.s - 1
+
+    def digit_valid(self, i: int) -> bool:
+        return isinstance(i, int) and 0 <= i < self.s
+
+    def entry(self, i: int) -> Fraction:
+        if not self.digit_valid(i):
+            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
+        return self._entry
+
+    def weight(self, i: int) -> Fraction:
+        if not self.digit_valid(i):
+            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
+        return Fraction(i, self.s)
+
+    def tail(self, k: int) -> Fraction:
+        if not isinstance(k, int) or k < 0:
+            raise DomainError(f"tail index must be >= 0, got {k!r}")
+        return Fraction(max(self.s - k, 0), self.s)
+
+    @property
+    def total(self) -> Fraction:
+        return ONE
+
+    @property
+    def sup_entry(self) -> Fraction:
+        return self._entry
 
 
 @dataclass(frozen=True)
@@ -265,12 +334,9 @@ class GeometricColumn:
         return self.scale
 
 
-def uniform_column(s: int) -> FiniteColumn:
+def uniform_column(s: int) -> UniformColumn:
     """The column of s equal weights 1/s (digits 0..s-1)."""
-    s = int(s)
-    if s < 2:
-        raise ConstructionError("uniform column needs at least 2 digits")
-    return FiniteColumn((rat(1, s),) * s)
+    return UniformColumn(int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -427,37 +493,17 @@ class DigitSystem:
     def digit_valid(self, i: int, n: int) -> bool:
         return self.column(n).digit_valid(i)
 
-    def extremal_low(self, n: int) -> tuple:
-        """(weight, entry) of the digit driving the series to its infimum at
-        position n: the top digit on marked positions (limit (1, 0) for
-        infinite columns), digit 0 elsewhere."""
-        col = self.column(n)
-        if self.signs.contains(n):
-            if col.is_infinite:
-                return (ONE, ZERO)
-            return (col.weight(col.top_digit), col.entry(col.top_digit))
-        return (ZERO, col.entry(0))
-
-    def extremal_high(self, n: int) -> tuple:
-        """Mirror of extremal_low: digit 0 on marked positions, top digit
-        (or its (1, 0) limit) elsewhere."""
-        col = self.column(n)
-        if self.signs.contains(n):
-            return (ZERO, col.entry(0))
-        if col.is_infinite:
-            return (ONE, ZERO)
-        return (col.weight(col.top_digit), col.entry(col.top_digit))
-
     def validate(self, depth: int) -> ValidationReport:
         """Exact per-column checks up to `depth`, plus the shrinking-product
         certificate.
 
         Checks per column: every entry positive, entries sum to 1 exactly
-        (geometric columns via their closed-form tail). The product of
-        sup-entries over the checked columns certifies the vanishing-product
-        condition when it reaches the numeric threshold or when the provider
-        carries a structural certificate; the condition is never reported as
-        violated, only as not yet certified.
+        (geometric columns via their closed-form tail; uniform columns hold
+        both by construction, so they cost O(1) whatever their size). The
+        product of sup-entries over the checked columns certifies the
+        vanishing-product condition when it reaches the numeric threshold or
+        when the provider carries a structural certificate; the condition is
+        never reported as violated, only as not yet certified.
         """
         if not isinstance(depth, int) or depth < 1:
             raise ParameterError(f"validation depth must be >= 1, got {depth!r}")
@@ -475,7 +521,8 @@ class DigitSystem:
                     continue
                 if col.total != 1:
                     failures.append(ColumnFailure(n, None, f"column sum {col.total} != 1"))
-            else:
+            elif not isinstance(col, UniformColumn):
+                # A uniform column's entries 1/s are positive and sum to 1.
                 for i, q in enumerate(col.entries):
                     if q <= 0:
                         failures.append(ColumnFailure(n, i, f"entry {q} not positive"))

@@ -1,17 +1,22 @@
 """Shared generators and brute-force oracles for the test suite.
 
-Random columns are always generated with non-increasing entries.  The
-per-position extremal recipe used by the tail machinery realizes the true
+`random_column` always draws non-increasing entries.  The per-position
+extremal recipe used by the tail machinery realizes the true
 infimum/supremum only on such columns, so brute-force comparisons stay
 meaningful.  (With an increasing column, picking the locally extreme digit
-can be globally suboptimal.)
+can be globally suboptimal.)  `random_any_column` also draws unsorted,
+singleton and geometric columns; it serves tests that compare the tail
+layer with `reference_tail_bounds`, which follows the same recipe.
 """
 from fractions import Fraction
+import math
 import random
 
 from varsign import (
     DigitSystem,
+    Enclosure,
     FiniteColumn,
+    GeometricColumn,
     ListColumns,
     SignSet,
     uniform_column,
@@ -23,6 +28,22 @@ def random_column(rng: random.Random, max_digits: int = 4) -> FiniteColumn:
     weights = sorted((rng.randint(1, 9) for _ in range(k)), reverse=True)
     total = sum(weights)
     return FiniteColumn(tuple(Fraction(w, total) for w in weights))
+
+
+def random_any_column(rng: random.Random, max_digits: int = 4):
+    """A random valid column: sorted, unsorted or singleton finite, or
+    geometric."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return random_column(rng, max_digits)
+    if pick == 1:
+        weights = [rng.randint(1, 9) for _ in range(rng.randint(2, max_digits))]
+        total = sum(weights)
+        return FiniteColumn(tuple(Fraction(w, total) for w in weights))
+    if pick == 2:
+        return FiniteColumn((Fraction(1),))
+    ratio = Fraction(rng.randint(1, 7), 8)
+    return GeometricColumn(1 - ratio, ratio)
 
 
 def random_sign_rule(rng: random.Random, horizon: int = 12,
@@ -182,4 +203,64 @@ def extension_values(system: DigitSystem, base, total_length: int) -> list:
                 weight * col.entry(i))
 
     rec(len(tuple(base)) + 1, start_value, start_weight)
+    return out
+
+
+def reference_extremal(system: DigitSystem, t: int, low: bool) -> tuple:
+    """(weight, entry) of the digit that drives one side of the series at
+    position t: the top digit (limit (1, 0) for infinite columns) on the low
+    side of marked positions and the high side of unmarked ones, digit 0
+    otherwise.  The top digit's weight is summed from the entries."""
+    col = system.column(t)
+    if system.signs.contains(t) != low:
+        return Fraction(0), col.entry(0)
+    if col.is_infinite:
+        return Fraction(1), Fraction(0)
+    top = col.top_digit
+    return sum((col.entry(i) for i in range(top)), Fraction(0)), col.entry(top)
+
+
+def reference_tail_seed(system: DigitSystem, depth: int, low: bool) -> tuple:
+    """(lo, hi) of one tail magnitude past `depth`, by the rules of the tail
+    layer in plain Fraction arithmetic."""
+    signs, cols = system.signs, system.columns
+    members = signs.has_members_beyond(depth)
+    nonmembers = signs.has_nonmembers_beyond(depth)
+    contributors, others = (members, nonmembers) if low else (nonmembers, members)
+    if not contributors or cols.all_singleton_beyond(depth):
+        return Fraction(0), Fraction(0)
+    if not others and cols.claims_vanishing_product():
+        return Fraction(1), Fraction(1)
+    per = cols.periodicity()
+    if per is not None:
+        pre = max(per[0], signs.periodicity()[0])
+        period = math.lcm(per[1], signs.periodicity()[1])
+        if depth >= pre:
+            partial, running = Fraction(0), Fraction(1)
+            for t in range(depth + 1, depth + period + 1):
+                a, q = reference_extremal(system, t, low)
+                partial += running * a
+                running *= q
+            if running < 1:
+                point = partial / (1 - running)
+                return point, point
+            if partial == 0:
+                return Fraction(0), Fraction(0)
+    return Fraction(0), Fraction(1)
+
+
+def reference_tail_bounds(system: DigitSystem, depth: int) -> dict:
+    """position -> the signed (lo, hi) tail enclosures at every position
+    0..depth-1, by the plain Fraction backward recursion
+    R(t-1) = a~_t + q~_t * R(t) from the seed at `depth`: an independent
+    route against which `tail_bounds` is tested."""
+    low_lo, low_hi = reference_tail_seed(system, depth, low=True)
+    high_lo, high_hi = reference_tail_seed(system, depth, low=False)
+    out = {}
+    for t in range(depth, 0, -1):
+        a, q = reference_extremal(system, t, low=True)
+        low_lo, low_hi = a + q * low_lo, a + q * low_hi
+        a, q = reference_extremal(system, t, low=False)
+        high_lo, high_hi = a + q * high_lo, a + q * high_hi
+        out[t - 1] = (Enclosure(-low_hi, -low_lo), Enclosure(high_lo, high_hi))
     return out

@@ -19,6 +19,7 @@ from varsign import (
     eval_prefix,
     eval_signed_product,
     example_a,
+    example_b,
     make_classic,
     nega_s_adic,
     prefix_walk,
@@ -30,11 +31,16 @@ from varsign import (
     word,
 )
 
+from varsign.expansion import _extremal
 from support import (
+    build_signs,
     extension_values,
+    random_any_column,
     random_finite_system,
     random_periodic_system,
+    random_sign_rule,
     random_word_digits,
+    reference_tail_bounds,
     walk_prefix,
 )
 
@@ -187,6 +193,63 @@ def test_tail_width_bounded_by_entry_product():
             cap *= sys.column(t).sup_entry
         assert lo.width <= cap
         assert hi.width <= cap
+
+
+def test_extremal_pairs():
+    col = FiniteColumn((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    sys = DigitSystem(SignSet.from_list([1]), ListColumns((col, uniform_column(2))))
+    # marked position: low side realizes the top digit, high side digit 0
+    assert _extremal(sys, 1) == ((Fraction(5, 6), Fraction(1, 6)),
+                                 (Fraction(0), Fraction(1, 2)))
+    # unmarked position: the roles swap
+    assert _extremal(sys, 2) == ((Fraction(0), Fraction(1, 2)),
+                                 (Fraction(1, 2), Fraction(1, 2)))
+    # infinite columns use the limiting pair (1, 0)
+    geo = DigitSystem(SignSet.none(),
+                      ListColumns((GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
+    assert _extremal(geo, 1)[1] == (Fraction(1), Fraction(0))
+
+
+# One rule per sign-set kind, then random ones.
+SIGN_KINDS = (
+    ("none",), ("every",), ("odd",), ("even",), ("list", (2, 5, 50)),
+    ("residues", 3, (0, 2), 1), ("complement", ("residues", 2, (1,), 0)),
+)
+
+
+def _differential_systems(rng):
+    """Systems whose tails come from every seed branch: finite columns
+    (sorted, unsorted, singleton) and geometric ones under both list
+    extensions, rule columns with and without the vanishing claim, and the
+    two example systems."""
+    systems = [make_classic(example_a()), make_classic(example_b()),
+               random_finite_system(rng, support=7)]
+    for i in range(28):
+        rule = SIGN_KINDS[i % 7] if i < 14 else random_sign_rule(rng, horizon=60)
+        signs = build_signs(rule)
+        shape = i % 4
+        if shape < 2:
+            cols = tuple(random_any_column(rng) for _ in range(rng.randint(1, 4)))
+            provider = ListColumns(cols, ("cycle", "repeat-last")[shape])
+        else:
+            seed = rng.randrange(2 ** 32)
+            provider = RuleColumns(
+                lambda n, seed=seed: random_any_column(random.Random(seed + n)),
+                vanishing_product=shape == 3,
+            )
+        systems.append(DigitSystem(signs, provider))
+    return systems
+
+
+def test_tail_bounds_match_reference_recursion():
+    rng = random.Random(SEED + 8)
+    for sys in _differential_systems(rng):
+        for depth in (5, 9, 40, 120):
+            expected = reference_tail_bounds(sys, depth)
+            positions = list(range(depth))
+            rng.shuffle(positions)
+            for n in positions:
+                assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
 
 
 def test_value_range_known_systems():

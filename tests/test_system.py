@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,15 @@ from varsign import (
     ListColumns,
     RuleColumns,
     SignSet,
+    UniformColumn,
+    make_classic,
     parse_spec,
+    s_adic,
     theorem_check,
     uniform_column,
     value_range,
 )
+from varsign.specfile import MAX_DIGITS
 from support import (
     build_signs,
     random_sign_rule,
@@ -58,6 +64,28 @@ def test_sign_set_complement():
 def test_sign_set_rejects_bad_input():
     with pytest.raises(ConstructionError):
         SignSet.from_list([0])
+
+
+@pytest.mark.parametrize("fields", [
+    {"period": 0},
+    {"period": -3, "residues": frozenset({0})},
+    {"period": 2, "residues": frozenset({5})},
+    {"period": 2, "residues": frozenset({-1, 1})},
+    {"start": -1},
+    {"flips": frozenset({0})},
+    {"flips": frozenset({4, -2}), "negated": True},
+])
+def test_sign_set_refuses_fields_outside_normal_form(fields):
+    with pytest.raises(ConstructionError):
+        SignSet(**fields)
+    with pytest.raises(ConstructionError):
+        dataclasses.replace(SignSet.odd(), **fields)
+
+
+def test_sign_set_normal_form_edges_still_construct():
+    assert SignSet(period=3, residues=frozenset({0, 2}), start=0).contains(3)
+    assert not SignSet(period=5).has_members_beyond(0)
+    assert SignSet(flips=frozenset({1}), start=0, period=1).contains(1)
     with pytest.raises(ConstructionError):
         SignSet.residue_classes(0, (0,))
     with pytest.raises(ConstructionError):
@@ -217,10 +245,12 @@ def test_finite_column_table_is_invisible():
 
 
 def test_parse_spec_builds_no_prefix_table():
+    entries = ", ".join(['"1/1000"'] * 1000)
     system = parse_spec(
         '{"nb": {"kind": "odd"},'
-        ' "columns": {"kind": "explicit", "list": [{"uniform": {"s": 1000}}]}}'
+        ' "columns": {"kind": "explicit", "list": [{"finite": [%s]}]}}' % entries
     )
+    assert isinstance(system.column(1), FiniteColumn)
     assert "_prefix" not in vars(system.column(1))
 
 
@@ -242,6 +272,73 @@ def test_uniform_column():
     assert col.entry(2) == Fraction(1, 4)
     with pytest.raises(ConstructionError):
         uniform_column(1)
+
+
+def test_uniform_column_matches_finite_column_of_equal_entries():
+    rng = random.Random(SEED)
+    for s in range(2, 601):
+        uni = uniform_column(s)
+        fin = FiniteColumn((Fraction(1, s),) * s)
+        assert isinstance(uni, UniformColumn)
+        assert (uni.top_digit, uni.is_singleton, uni.is_infinite) == (
+            fin.top_digit, fin.is_singleton, fin.is_infinite)
+        # The finite column sums and compares all s entries for these three;
+        # every alphabet up to 64 and a sample beyond keep the suite quick.
+        whole = s <= 64 or s % 50 == 0
+        if whole:
+            assert fin.total == 1 and fin.sup_entry == Fraction(1, s)
+            signs = SignSet.odd()
+            assert (DigitSystem(signs, ListColumns((uni,))).validate(3)
+                    == DigitSystem(signs, ListColumns((fin,))).validate(3))
+        assert uni.total == 1 and uni.sup_entry == Fraction(1, s)
+        if s <= 40:
+            digits = range(s)
+        else:
+            digits = {0, 1, s // 3, s // 2, s - 2, s - 1, rng.randrange(s)}
+        for i in digits:
+            assert uni.digit_valid(i) and fin.digit_valid(i)
+            assert uni.entry(i) == fin.entry(i)
+            assert uni.weight(i) == fin.weight(i)
+        for k in {0, 1, s // 2, s - 1, s, s + 1, 2 * s, 10 ** 9}:
+            assert uni.tail(k) == fin.tail(k)
+        for bad in (-1, s, s + 5, 1.0, "1", None):
+            assert not uni.digit_valid(bad) and not fin.digit_valid(bad)
+            for col in (uni, fin):
+                with pytest.raises(DomainError):
+                    col.entry(bad)
+                with pytest.raises(DomainError):
+                    col.weight(bad)
+        for bad in (-1, 1.0, None):
+            for col in (uni, fin):
+                with pytest.raises(DomainError):
+                    col.tail(bad)
+
+
+def test_uniform_column_refuses_fewer_than_two_digits():
+    for bad in (1, 0, -4, 2.0, "3"):
+        with pytest.raises(ConstructionError):
+            UniformColumn(bad)
+
+
+def test_largest_uniform_alphabets_are_symbolic():
+    start = time.perf_counter()
+    for spec in (
+        '{"nb": {"kind": "odd"}, "columns": {"kind": "explicit",'
+        ' "list": [{"uniform": {"s": %d}}]}}' % MAX_DIGITS,
+        '{"columns": {"kind": "classic", "name": "s-adic",'
+        ' "params": {"s": %d}}}' % MAX_DIGITS,
+    ):
+        system = parse_spec(spec)
+        col = system.column(1)
+        assert isinstance(col, UniformColumn) and col.top_digit == MAX_DIGITS - 1
+        assert col.weight(MAX_DIGITS - 1) == 1 - Fraction(1, MAX_DIGITS)
+        value_range(system)
+    # a column of MAX_DIGITS entries would take tens of seconds to build
+    assert time.perf_counter() - start < 5
+
+
+def test_classic_columns_are_uniform():
+    assert make_classic(s_adic(7)).column(3) == UniformColumn(7)
 
 
 def test_list_columns_extension_rules():
@@ -291,21 +388,6 @@ def test_sign_laws():
     assert sys.column_sign(3) == -1
     flat = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
     assert flat.column_sign(1) == 1 and flat.column_sign(2) == 1
-
-
-def test_extremal_pairs():
-    col = FiniteColumn((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    sys = DigitSystem(SignSet.from_list([1]), ListColumns((col, uniform_column(2))))
-    # marked position: low side realizes the top digit, high side digit 0
-    assert sys.extremal_low(1) == (Fraction(5, 6), Fraction(1, 6))
-    assert sys.extremal_high(1) == (Fraction(0), Fraction(1, 2))
-    # unmarked position: the roles swap
-    assert sys.extremal_low(2) == (Fraction(0), Fraction(1, 2))
-    assert sys.extremal_high(2) == (Fraction(1, 2), Fraction(1, 2))
-    # infinite columns use the limiting pair (1, 0)
-    geo = DigitSystem(SignSet.none(),
-                      ListColumns((GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
-    assert geo.extremal_high(1) == (Fraction(1), Fraction(0))
 
 
 def test_validate_flags_bad_columns():
