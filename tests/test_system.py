@@ -64,6 +64,12 @@ def test_sign_set_complement():
 def test_sign_set_rejects_bad_input():
     with pytest.raises(ConstructionError):
         SignSet.from_list([0])
+    with pytest.raises(ConstructionError):
+        SignSet.residue_classes(0, (0,))
+    with pytest.raises(ConstructionError):
+        SignSet.residue_classes(4, (4,))
+    with pytest.raises(ConstructionError):
+        SignSet.residue_classes(4, ())
 
 
 @pytest.mark.parametrize("fields", [
@@ -86,12 +92,6 @@ def test_sign_set_normal_form_edges_still_construct():
     assert SignSet(period=3, residues=frozenset({0, 2}), start=0).contains(3)
     assert not SignSet(period=5).has_members_beyond(0)
     assert SignSet(flips=frozenset({1}), start=0, period=1).contains(1)
-    with pytest.raises(ConstructionError):
-        SignSet.residue_classes(0, (0,))
-    with pytest.raises(ConstructionError):
-        SignSet.residue_classes(4, (4,))
-    with pytest.raises(ConstructionError):
-        SignSet.residue_classes(4, ())
 
 
 def test_sign_set_horizon_scans():
