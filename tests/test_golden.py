@@ -1,7 +1,10 @@
-"""Golden machine output: every command on every preset, byte for byte.
+"""Golden CLI output: every command on every preset, byte for byte.
 
 Each case runs the CLI in-process with `--format machine` on a preset (or on
 a spec under `golden/specs/` that no preset covers) and compares its stdout with `golden/<case>.out` and its exit code with `golden/exit_codes.json`.
+The same case run with `--format text` must give the same exit code and the
+stdout in `golden/text/<case>.out`.  `varsign --help` and every command's
+`--help` are recorded under `golden/help/`.
 The files record the intended output; a change to them is a change in
 behaviour and must be deliberate.  Re-record after such a change with
 
@@ -23,6 +26,8 @@ PRESETS = os.path.join(HERE, os.pardir, "presets")
 # Specs that only the golden cases use, kept out of presets/.
 SPECS = os.path.join(GOLDEN, "specs")
 EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
+TEXT = os.path.join(GOLDEN, "text")
+HELP = os.path.join(GOLDEN, "help")
 
 # preset -> command -> fixed arguments (all valid for that preset)
 ARGS = {
@@ -146,20 +151,53 @@ for _spec, _args in TAIL_ARGS.items():
         CASES[f"{_command}-{_spec}"] = (_command, _spec, _argv)
 
 
-def run_case(name):
-    """(exit code, stdout) of one case, run in-process."""
+# help case name -> arguments
+HELP_CASES = {"varsign": ["--help"]}
+HELP_CASES.update((command, [command, "--help"]) for command in COMMANDS)
+
+
+def run_main(argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def run_case(name, fmt="machine"):
+    """(exit code, stdout) of one case in the given output format."""
     command, preset, args = CASES[name]
     spec = os.path.join(PRESETS, f"{preset}.json")
     if not os.path.exists(spec):
         spec = os.path.join(SPECS, f"{preset}.json")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--spec", spec, "--format", "machine", *args])
-    return code, out.getvalue()
+    return run_main([command, "--spec", spec, "--format", fmt, *args])
 
 
-def golden_path(name):
-    return os.path.join(GOLDEN, f"{name}.out")
+def run_help(name):
+    """(exit code, stdout) of one help case, wrapped at 80 columns."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return run_main(HELP_CASES[name])
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+
+
+def golden_path(name, directory=GOLDEN):
+    return os.path.join(directory, f"{name}.out")
+
+
+def read_golden(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def write_golden(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -180,13 +218,38 @@ def test_golden_directory_holds_exactly_the_cases():
     assert outs == sorted(CASES)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_output_matches_golden(name):
+    with open(EXIT_CODES, encoding="utf-8") as fh:
+        expected_code = json.load(fh)[name]
+    code, out = run_case(name, "text")
+    assert code == expected_code
+    assert out == read_golden(golden_path(name, TEXT))
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden(name):
+    code, out = run_help(name)
+    assert code == 0
+    assert out == read_golden(golden_path(name, HELP))
+
+
+def test_text_and_help_directories_hold_exactly_the_cases():
+    for directory, cases in ((TEXT, CASES), (HELP, HELP_CASES)):
+        outs = sorted(f[:-4] for f in os.listdir(directory) if f.endswith(".out"))
+        assert outs == sorted(cases)
+
+
 def record():
-    os.makedirs(GOLDEN, exist_ok=True)
+    for directory in (GOLDEN, TEXT, HELP):
+        os.makedirs(directory, exist_ok=True)
     codes = {}
     for name in sorted(CASES):
         codes[name], out = run_case(name)
-        with open(golden_path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+        write_golden(golden_path(name), out)
+        write_golden(golden_path(name, TEXT), run_case(name, "text")[1])
+    for name in sorted(HELP_CASES):
+        write_golden(golden_path(name, HELP), run_help(name)[1])
     with open(EXIT_CODES, "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
