@@ -1,9 +1,12 @@
 """Command line front end.
 
 Every command loads a digit system from a JSON spec file (see specfile),
-works at a bounded depth, and reports either human-readable text or a single
-machine-readable JSON document with sorted keys.  All arithmetic is exact, so
-repeated runs with the same inputs produce byte-identical output.
+works at a bounded depth, and builds one document: its results, with
+rationals as "p/q" strings and enclosures as {"lo": ..., "hi": ...}.
+`--format machine` prints the document as one JSON line with sorted keys;
+that is the stable interface.  `--format text` (the default) prints the same
+document through `_render`, one `key: value` line per field.  All arithmetic
+is exact, so repeated runs with the same inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 bad spec or failed validation,
 3 domain error (value out of range, digit word hits a gap, division by a
@@ -11,6 +14,7 @@ length that is not bounded away from zero).
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -22,7 +26,6 @@ from .errors import SpecError, VarsignError
 from .expansion import DEFAULT_DEPTH, eval_enclosure, eval_prefix, value_range, word
 from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
-from .system import CERTIFIED
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
 
@@ -46,12 +49,30 @@ def _rational_arg(text: str):
         raise click.UsageError(str(exc)) from None
 
 
-def _emit(doc: dict, fmt: str, lines) -> None:
-    if fmt == "machine":
-        click.echo(json.dumps(doc, sort_keys=True))
-    else:
-        for line in lines:
-            click.echo(line)
+def _text(value) -> str:
+    """One document value as text: an enclosure as [lo, hi], a list
+    comma-joined, an object as `k=v` pairs, a string bare, and any other
+    scalar as in JSON."""
+    if isinstance(value, dict):
+        if value.keys() == {"lo", "hi"}:
+            return f"[{value['lo']}, {value['hi']}]"
+        return " ".join(f"{k}={_text(v)}" for k, v in sorted(value.items()))
+    if isinstance(value, list):
+        return ",".join(_text(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _render(doc: dict) -> None:
+    """Print a document as one `key: value` line per field in sorted key
+    order; a list of objects is `key:` then one indented line per object."""
+    lines = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            lines.append(f"{key}:")
+            lines.extend("  " + _text(v) for v in value)
+        else:
+            lines.append(f"{key}: {_text(value)}")
+    click.echo("\n".join(lines))
 
 
 _spec_option = click.option(
@@ -65,23 +86,36 @@ _format_option = click.option(
     show_default=True, help="Human-readable text or one JSON document.")
 
 
-def _common(func):
-    return _spec_option(_depth_option(_format_option(func)))
-
-
 @click.group()
 def cli():
     """Exact arithmetic for sign-variable positional number systems."""
 
 
-@cli.command()
-@_common
-def validate(spec_path, depth, fmt):
+def _command(name: str):
+    """Register `body(system, depth, **own_options)`, which returns its
+    document or (document, exit code), as command `name` with the common
+    options in front of its own."""
+    def register(body):
+        # wraps carries over the body's docstring (the help) and own options.
+        @functools.wraps(body)
+        def run(spec_path, depth, fmt, **options):
+            result = body(load_spec(spec_path), depth, **options)
+            doc, code = result if isinstance(result, tuple) else (result, 0)
+            doc["command"] = name
+            if fmt == "machine":
+                click.echo(json.dumps(doc, sort_keys=True))
+            else:
+                _render(doc)
+            return code
+        return cli.command(name)(_spec_option(_depth_option(_format_option(run))))
+    return register
+
+
+@_command("validate")
+def validate(system, depth):
     """Check column positivity, unit sums, and the vanishing-product rule."""
-    system = load_spec(spec_path)
     report = system.validate(depth)
     doc = {
-        "command": "validate",
         "depth": report.depth,
         "ok": report.ok,
         "failures": [
@@ -94,87 +128,48 @@ def validate(spec_path, depth, fmt):
             else format_rational(report.condition3_product)
         ),
     }
-    lines = [f"checked positions 1..{report.depth}"]
-    if report.ok:
-        lines.append("column conditions: ok")
-    else:
-        lines.append("column conditions: FAILED")
-        for f in report.failures:
-            where = f"position {f.position}"
-            if f.digit is not None:
-                where += f", digit {f.digit}"
-            lines.append(f"  {where}: {f.message}")
-    tag = "certified" if report.condition3 == CERTIFIED else "inconclusive"
-    extra = ""
-    if report.condition3_product is not None:
-        extra = f" (sup-entry product {format_rational(report.condition3_product)})"
-    lines.append(f"vanishing-product condition: {tag}{extra}")
-    _emit(doc, fmt, lines)
-    return 0 if report.ok else 2
+    return doc, 0 if report.ok else 2
 
 
-@cli.command("range")
-@_common
-def range_cmd(spec_path, depth, fmt):
+@_command("range")
+def range_cmd(system, depth):
     """Enclose the least and greatest representable values."""
-    system = load_spec(spec_path)
     lo, hi = value_range(system, depth)
-    doc = {
-        "command": "range",
+    return {
         "depth": depth,
         "infimum": format_enclosure(lo),
         "supremum": format_enclosure(hi),
     }
-    lines = [
-        f"infimum within {lo}",
-        f"supremum within {hi}",
-        f"all values lie in [{format_rational(lo.lo)}, {format_rational(hi.hi)}]",
-    ]
-    _emit(doc, fmt, lines)
 
 
-@cli.command("eval")
-@_common
+@_command("eval")
 @click.option("--digits", required=True, metavar="D1,D2,...",
               help="Digit word, most significant first.")
-def eval_cmd(spec_path, depth, fmt, digits):
+def eval_cmd(system, depth, digits):
     """Evaluate a digit word: exact prefix value plus a value enclosure."""
-    system = load_spec(spec_path)
     w = word(system, _parse_digits(digits))
     use_depth = max(depth, len(w) + 2)
-    enc = eval_enclosure(w, use_depth)
-    value = eval_prefix(w)
-    doc = {
-        "command": "eval",
+    return {
         "depth": use_depth,
         "digits": list(w.digits),
-        "prefix_value": format_rational(value),
-        "enclosure": format_enclosure(enc),
+        "prefix_value": format_rational(eval_prefix(w)),
+        "enclosure": format_enclosure(eval_enclosure(w, use_depth)),
     }
-    lines = [
-        f"prefix value: {format_rational(value)}",
-        f"value enclosure: {enc}",
-        f"enclosure width: {format_rational(enc.width)}",
-    ]
-    _emit(doc, fmt, lines)
 
 
-@cli.command("encode")
-@_common
+@_command("encode")
 @click.option("--x", "target", required=True, metavar="P/Q",
               help="Rational value to encode.")
 @click.option("--tol", default=DEFAULT_TOLERANCE, show_default=True,
               metavar="P/Q", help="Stop once the residual is this narrow.")
 @click.option("--max-len", default=64, show_default=True,
               help="Digit budget before giving up.")
-def encode_cmd(spec_path, depth, fmt, target, tol, max_len):
+def encode_cmd(system, depth, target, tol, max_len):
     """Greedily pick digits whose cylinders keep containing x."""
-    system = load_spec(spec_path)
     x = _rational_arg(target)
     tolerance = _rational_arg(tol)
     result = encode(system, x, tolerance, max_len=max_len, depth=depth)
     doc = {
-        "command": "encode",
         "x": format_rational(x),
         "tolerance": format_rational(tolerance),
         "digits": list(result.digits.digits),
@@ -182,76 +177,52 @@ def encode_cmd(spec_path, depth, fmt, target, tol, max_len):
         "gap_position": result.gap_position,
         "residual": format_enclosure(result.residual),
     }
-    lines = [
-        "digits: " + ",".join(str(d) for d in result.digits.digits),
-        f"status: {result.describe()}",
-        f"residual: {result.residual}",
-    ]
-    _emit(doc, fmt, lines)
-    if result.status == "gap":
-        click.echo(
-            f"no cylinder of rank {result.gap_position} contains "
-            f"{format_rational(x)}: the value sits in a gap",
-            err=True,
-        )
-        return 3
-    return 0
+    if result.status != "gap":
+        return doc
+    click.echo(f"gap: no digit at position {result.gap_position} after the "
+               f"chosen prefix has a hull that contains {doc['x']}; other "
+               "prefixes were not searched", err=True)
+    return doc, 3
 
 
-@cli.command("cylinder")
-@_common
+@_command("cylinder")
 @click.option("--base", required=True, metavar="D1,D2,...",
               help="Digit word naming the cylinder.")
 @click.option("--table-limit", default=8, show_default=True,
               help="How many child ratios to tabulate.")
-def cylinder_cmd(spec_path, depth, fmt, base, table_limit):
+def cylinder_cmd(system, depth, base, table_limit):
     """Report cylinder endpoints, length, and child length ratios."""
-    system = load_spec(spec_path)
     cyl = cylinder(system, _parse_digits(base))
     use_depth = max(depth, cyl.rank + 3)
     inf_enc, sup_enc = cylinder_bounds(cyl, use_depth)
-    length = sup_enc.sub(inf_enc)
     col = system.column(cyl.rank + 1)
     ratios = []
     digit = 0
     while col.digit_valid(digit) and len(ratios) < table_limit:
-        ratios.append((digit, metric_ratio(cyl, digit, use_depth)))
+        ratio = metric_ratio(cyl, digit, use_depth)
+        ratios.append({"digit": digit, "ratio": format_enclosure(ratio)})
         digit += 1
-    doc = {
-        "command": "cylinder",
+    return {
         "base": list(cyl.base.digits),
         "depth": use_depth,
         "infimum": format_enclosure(inf_enc),
         "supremum": format_enclosure(sup_enc),
-        "length": format_enclosure(length),
-        "ratios": [{"digit": d, "ratio": format_enclosure(r)} for d, r in ratios],
+        "length": format_enclosure(sup_enc.sub(inf_enc)),
+        "ratios": ratios,
     }
-    lines = [
-        f"rank: {cyl.rank}",
-        f"infimum within {inf_enc}",
-        f"supremum within {sup_enc}",
-        f"length within {length}",
-        "child length ratios:",
-    ]
-    for d, r in ratios:
-        lines.append(f"  digit {d}: {r}")
-    _emit(doc, fmt, lines)
 
 
-@cli.command("placement")
-@_common
+@_command("placement")
 @click.option("--base", default="", metavar="D1,D2,...",
               help="Digit word before the compared position (may be empty).")
 @click.option("--digit", required=True, type=int,
               help="Lower digit of the adjacent pair.")
-def placement_cmd(spec_path, depth, fmt, base, digit):
+def placement_cmd(system, depth, base, digit):
     """Compare the cylinders of consecutive digits at one position."""
-    system = load_spec(spec_path)
     prefix = _parse_digits(base, allow_empty=True)
     use_depth = max(depth, len(prefix) + 3)
     rep = placement(system, prefix, digit, use_depth)
-    doc = {
-        "command": "placement",
+    return {
         "position": rep.position,
         "digit": rep.digit,
         "depth": use_depth,
@@ -265,29 +236,15 @@ def placement_cmd(spec_path, depth, fmt, base, digit):
         "overlap_class": rep.overlap_class,
         "measure": format_enclosure(rep.overlap_or_gap_measure),
     }
-    lines = [
-        f"position {rep.position}, digits {rep.digit} and {rep.digit + 1}",
-        f"orientation: {rep.orientation}",
-        f"kappa1 within {rep.kappa1}",
-        f"kappa2 within {rep.kappa2}",
-        f"upward tail omega1 within {rep.omega1}",
-        f"downward tail omega2 within {rep.omega2}",
-        f"overlap class: {rep.overlap_class}",
-        f"overlap/gap measure within {rep.overlap_or_gap_measure}",
-    ]
-    _emit(doc, fmt, lines)
 
 
-@cli.command("theorem")
-@_common
+@_command("theorem")
 @click.option("--rank", default=8, show_default=True,
               help="Check adjacent pairs at positions 1..rank.")
-def theorem_cmd(spec_path, depth, fmt, rank):
+def theorem_cmd(system, depth, rank):
     """Check the interval-filling condition on adjacent digit pairs."""
-    system = load_spec(spec_path)
     verdict = theorem_check(system, rank, tail_depth=max(depth, rank + 2))
-    doc = {
-        "command": "theorem",
+    return {
         "rank": verdict.depth,
         "overall": verdict.overall,
         "failure": (
@@ -306,20 +263,6 @@ def theorem_cmd(spec_path, depth, fmt, rank):
             for c in verdict.checks
         ],
     }
-    lines = [f"verdict: {verdict.overall} (positions 1..{verdict.depth})"]
-    if verdict.failure is not None:
-        pos, dig = verdict.failure
-        bad = next(
-            c for c in verdict.checks
-            if c.position == pos and c.digit == dig
-        )
-        lines.append(f"first failing pair: position {pos}, digits {dig} and {dig + 1}")
-        lines.append(f"  left side within {bad.left}")
-        lines.append(f"  right side within {bad.right}")
-    else:
-        undecided = sum(1 for c in verdict.checks if c.status == "undecided")
-        lines.append(f"pairs checked: {len(verdict.checks)}, undecided: {undecided}")
-    _emit(doc, fmt, lines)
 
 
 def main(argv=None) -> int:

@@ -20,8 +20,8 @@ def run(capsys, *argv):
 def test_validate_text(capsys):
     code, out, err = run(capsys, "validate", "--spec", preset("nega-binary.json"))
     assert code == 0
-    assert "column conditions: ok" in out
-    assert "certified" in out
+    assert "ok: true" in out
+    assert "condition3: CERTIFIED" in out
 
 
 def test_validate_machine(capsys):
@@ -79,6 +79,14 @@ def test_encode_gap_exit_code(capsys):
     doc = json.loads(out)
     assert doc["status"] == "gap" and doc["gap_position"] == 1
     assert "gap" in err
+
+
+def test_encode_gap_message_claims_only_the_greedy_search(capsys):
+    code, _, err = run(capsys, "encode", "--spec", preset("gap-halves.json"),
+                       "--x", "-1/12")
+    assert code == 3
+    assert "no digit at position 1 after the chosen prefix" in err
+    assert "sits in a gap" not in err
 
 
 def test_encode_out_of_range_exit_code(capsys):

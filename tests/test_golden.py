@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -232,6 +233,27 @@ def test_help_matches_golden(name):
     code, out = run_help(name)
     assert code == 0
     assert out == read_golden(golden_path(name, HELP))
+
+
+RATIONAL = re.compile(r"-?\d+/\d+")
+
+
+def rationals(value):
+    """Every "p/q" string in a machine document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return {r for item in value for r in rationals(item)}
+    return {value} if isinstance(value, str) and RATIONAL.fullmatch(value) else set()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_shows_every_machine_field(name):
+    doc = json.loads(run_case(name)[1])
+    text = run_case(name, "text")[1]
+    keys = {line.partition(":")[0] for line in text.splitlines()}
+    assert set(doc) <= keys
+    assert rationals(doc) <= set(RATIONAL.findall(text))
 
 
 def test_text_and_help_directories_hold_exactly_the_cases():
