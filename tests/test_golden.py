@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from unittest import mock
 
 import pytest
 
@@ -176,15 +177,8 @@ def run_case(name, fmt="machine"):
 
 def run_help(name):
     """(exit code, stdout) of one help case, wrapped at 80 columns."""
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         return run_main(HELP_CASES[name])
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
 
 
 def golden_path(name, directory=GOLDEN):
