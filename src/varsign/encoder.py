@@ -120,11 +120,6 @@ class EncodeResult:
     status: str              # "converged" | "max-depth-reached" | "gap"
     gap_position: "int | None" = None
 
-    def describe(self) -> str:
-        if self.status == "gap":
-            return f"gap({self.gap_position})"
-        return self.status
-
 
 def _step_depth(depth: int, n: int) -> int:
     # Keep the tail precondition depth > n satisfiable past the nominal depth.

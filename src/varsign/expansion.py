@@ -16,10 +16,18 @@ the structure beyond the depth is fully known (no contributing positions,
 all-singleton columns, all-contributing with a vanishing product, or an
 eventually periodic pattern solved by its fixed point).
 
+When the seed is exact, the tails do not depend on the truncation depth at
+all: past the preperiod pre of the eventually periodic structure (columns
+and sign set together, period `period`), every seed takes the same branch,
+and an exact seed is the fixed point of the recursion over one period. So
+tails repeat with that period from pre on, and every exact query of a
+system is served from one canonical table at depth pre + period. A system
+whose seed is inexact, or a query shallower than pre + period, keeps one
+table per (system, depth).
+
 This module is the only one that seeds, recurses or caches tails; the rest
-of the package reads them through `tail_bounds`. The cache holds one table
-per (system, depth) and is keyed weakly on the system, so it never keeps a
-system alive.
+of the package reads them through `tail_bounds`. The cache is keyed weakly
+on the system, so it never keeps a system alive.
 
 All of this presumes a system whose columns validate; tails of invalid
 systems are meaningless.
@@ -152,6 +160,15 @@ def _over_common(x: Fraction, y: Fraction) -> tuple:
     return x.numerator * yd, y.numerator * xd, xd * yd
 
 
+def _structure_period(sys: DigitSystem) -> tuple:
+    """(pre, period) of columns and sign set together: both repeat with
+    period past position pre. A provider without periodicity (rule columns)
+    counts as (0, 1); its seed never takes the periodic branch."""
+    col_pre, col_period = sys.columns.periodicity() or (0, 1)
+    sign_pre, sign_period = sys.signs.periodicity()
+    return max(col_pre, sign_pre), math.lcm(col_period, sign_period)
+
+
 def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
     """Enclosure of the low (or high) tail magnitude past position depth."""
     signs = sys.signs
@@ -172,10 +189,8 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
         # 1 minus a vanishing product.
         return Enclosure.point(1)
 
-    per = cols.periodicity()
-    if per is not None:
-        pre = max(per[0], signs.periodicity()[0])
-        period = math.lcm(per[1], signs.periodicity()[1])
+    if cols.periodicity() is not None:
+        pre, period = _structure_period(sys)
         if depth >= pre:
             # partial/den and running/den over one period, den unreduced.
             partial, running, den = 0, 1, 1
@@ -193,11 +208,35 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
     return Enclosure(ZERO, ONE)
 
 
-# system -> {depth: {position: (lo, hi)}}, weakly keyed so that a table lives
-# exactly as long as its system. Positions are filled from depth downward,
-# so a table's last key is its lowest position; every write stores the one
-# exact value of its key, so concurrent callers cannot corrupt a table.
+class _SystemTails:
+    """The tail tables of one system, {depth: {position: (lo, hi)}}, with
+    the (pre, period) of its structure and whether its seed at depth
+    pre + period is exact: None until a query at that depth or deeper
+    decides it.
+
+    Positions are filled from a table's depth downward, so a table's last
+    key is its lowest position; every write stores the one exact value of
+    its key, so concurrent callers cannot corrupt a table.
+    """
+
+    __slots__ = ("tables", "pre", "period", "exact")
+
+    def __init__(self, sys: DigitSystem):
+        self.tables = {}
+        self.pre, self.period = _structure_period(sys)
+        self.exact = None
+
+
+# system -> _SystemTails, weakly keyed so that the tables live exactly as
+# long as their system.
 _TAILS = weakref.WeakKeyDictionary()
+
+
+def _seeded_table(sys: DigitSystem, depth: int) -> dict:
+    return {depth: (
+        _tail_seed(sys, depth, low=True).neg(),
+        _tail_seed(sys, depth, low=False),
+    )}
 
 
 def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -206,22 +245,41 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
 
     Requires depth > n; each enclosure's width is at most the product of the
     extremal entries over positions n+1..depth (and is often exactly 0).
-    Results are cached per (system, depth); the table grows backward from
-    the seed only as far as the lowest position asked for.
+
+    With pre and period of the structure (`_structure_period`), a query at
+    depth >= pre + period on a system whose seeds at pre + period are both
+    points reads the one canonical table at depth pre + period, at position
+    n below pre and pre + (n - pre) % period from pre on. That is the same
+    Fraction pair as at the caller's depth: from pre on every seed takes the
+    same branch, and an exact seed is the fixed point of the recursion over
+    one period, so exact tails repeat with that period. Other queries use a
+    table per (system, depth). A table grows backward from its seed only as
+    far as the lowest position asked for.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")
     if not isinstance(depth, int) or depth <= n:
         raise ParameterError(f"tail depth must exceed position {n}, got {depth!r}")
-    tables = _TAILS.get(sys)
-    if tables is None:
-        tables = _TAILS[sys] = {}
+    tails = _TAILS.get(sys)
+    if tails is None:
+        tails = _TAILS[sys] = _SystemTails(sys)
+    tables = tails.tables
+    canonical = tails.pre + tails.period
+    if depth >= canonical:
+        if tails.exact is None:
+            # Decided once, by a query that pays for pre + period steps.
+            table = _seeded_table(sys, canonical)
+            lo, hi = table[canonical]
+            tails.exact = lo.is_point and hi.is_point
+            if tails.exact:
+                tables.setdefault(canonical, table)
+        if tails.exact:
+            if n >= tails.pre:
+                n = tails.pre + (n - tails.pre) % tails.period
+            depth = canonical
     table = tables.get(depth)
     if table is None:
-        table = tables[depth] = {depth: (
-            _tail_seed(sys, depth, low=True).neg(),
-            _tail_seed(sys, depth, low=False),
-        )}
+        table = tables[depth] = _seeded_table(sys, depth)
     hit = table.get(n)
     if hit is not None:
         return hit

@@ -15,7 +15,8 @@ every query, and its check in `validate`, in O(1) whatever s. An explicit
 finite column answers `weight` and `tail` in O(1) from an exact prefix-sum
 table that it builds on the first such call; `total` and `validate` sum the
 entries directly, so loading a spec never builds the table. A geometric
-column is infinite and answers from closed forms.
+column is infinite and answers from closed forms around its total
+scale / (1 - ratio), computed once.
 """
 from __future__ import annotations
 
@@ -280,10 +281,14 @@ class UniformColumn:
 class GeometricColumn:
     """The built-in infinite column rule: entry(i) = scale * ratio**i.
 
-    The exact tail sum_{i>=k} entry(i) = scale * ratio**k / (1 - ratio) makes
-    digit weights and truncation checks exact. A valid column has
-    0 < ratio < 1 and scale = 1 - ratio (so the entries sum to 1); invalid
-    parameters are flagged by validation rather than rejected here.
+    The exact tail sum_{i>=k} entry(i) = unit * ratio**k, with the column
+    total unit = scale / (1 - ratio), makes digit weights and truncation
+    checks exact: weight(i) = unit * (1 - ratio**i). `_unit` is computed on
+    the first `weight`, `tail` or `total` call and kept on the instance; it
+    is not a dataclass field, so equality, hashing and `repr` ignore it. A
+    valid column has 0 < ratio < 1 and scale = 1 - ratio (so the entries sum
+    to 1); invalid parameters are flagged by validation rather than rejected
+    here.
     """
 
     scale: Fraction
@@ -313,19 +318,26 @@ class GeometricColumn:
             raise DomainError(f"digit must be >= 0, got {i!r}")
         return self.scale * self.ratio**i
 
+    @cached_property
+    def _unit(self) -> Fraction:
+        if not 0 < self.ratio < 1:
+            raise DomainError("geometric tail needs ratio in (0, 1)")
+        return self.scale / (1 - self.ratio)
+
     def tail(self, k: int) -> Fraction:
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"tail index must be >= 0, got {k!r}")
-        if not 0 < self.ratio < 1:
-            raise DomainError("geometric tail needs ratio in (0, 1)")
-        return self.scale * self.ratio**k / (1 - self.ratio)
+        return self._unit * self.ratio**k
 
     def weight(self, i: int) -> Fraction:
-        return self.tail(0) - self.tail(i)
+        unit = self._unit
+        if not isinstance(i, int) or i < 0:
+            raise DomainError(f"tail index must be >= 0, got {i!r}")
+        return unit * (1 - self.ratio**i)
 
     @property
     def total(self) -> Fraction:
-        return self.tail(0)
+        return self._unit
 
     @property
     def sup_entry(self) -> Fraction:

@@ -105,7 +105,6 @@ def test_encode_hits_gap():
     result = encode(gap_system(), Fraction(-1, 12), TOL)
     assert result.status == "gap"
     assert result.gap_position == 1
-    assert result.describe() == "gap(1)"
     assert len(result.digits) == 0
     assert result.residual.contains(Fraction(-1, 12))
 

@@ -1,4 +1,5 @@
 import gc
+import os
 import random
 import weakref
 from fractions import Fraction
@@ -15,11 +16,13 @@ from varsign import (
     ParameterError,
     RuleColumns,
     SignSet,
+    encode,
     eval_enclosure,
     eval_prefix,
     eval_signed_product,
     example_a,
     example_b,
+    load_spec,
     make_classic,
     nega_s_adic,
     prefix_walk,
@@ -31,7 +34,8 @@ from varsign import (
     word,
 )
 
-from varsign.expansion import _extremal
+from varsign import expansion
+from varsign.expansion import _extremal, _structure_period, _tail_seed
 from support import (
     build_signs,
     extension_values,
@@ -242,14 +246,88 @@ def _differential_systems(rng):
 
 
 def test_tail_bounds_match_reference_recursion():
+    # Depths around pre + period, where exact systems switch to their one
+    # canonical table, and far past it; then the (n, n + 2) stream that
+    # encode asks for past its nominal depth, on a cold copy.
     rng = random.Random(SEED + 8)
     for sys in _differential_systems(rng):
-        for depth in (5, 9, 40, 120):
+        pre, period = _structure_period(sys)
+        canonical = pre + period
+        depths = sorted({5, 9, 40, 120, 300, canonical - 1, canonical,
+                         canonical + 1} - {0})
+        rng.shuffle(depths)
+        for depth in depths:
             expected = reference_tail_bounds(sys, depth)
             positions = list(range(depth))
             rng.shuffle(positions)
             for n in positions:
                 assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
+        # Every query is made; the reference, quadratic over the stream, is
+        # checked across the switch to the canonical table (at n + 2 ==
+        # pre + period) and a period past it, and at every 20th position.
+        cold = DigitSystem(sys.signs, sys.columns)
+        checked = (set(range(max(canonical - 4, 0), canonical + period))
+                   | set(range(0, 261, 20)))
+        for n in range(261):
+            got = tail_bounds(cold, n, n + 2)
+            if n in checked:
+                assert got == reference_tail_bounds(cold, n + 2)[n], n
+
+
+def test_seed_branch_repeats_past_the_preperiod():
+    # The canonical table rests on this: from pre on, whether each seed is a
+    # point does not depend on the depth, and exact seeds repeat with the
+    # period.
+    rng = random.Random(SEED + 8)
+    for sys in _differential_systems(rng):
+        pre, period = _structure_period(sys)
+        for low in (True, False):
+            seeds = [_tail_seed(sys, depth, low)
+                     for depth in range(pre, pre + 3 * period + 1)]
+            assert len({seed.is_point for seed in seeds}) == 1, (pre, period)
+            if seeds[0].is_point:
+                assert seeds[period:] == seeds[:-period]
+
+
+@pytest.mark.parametrize("signs", [
+    SignSet.from_list([50]),
+    SignSet.residue_classes(10 ** 12, (0,)),
+])
+def test_shallow_queries_keep_per_depth_tables(signs):
+    # pre + period exceeds the depth: no decision is made, and the queries
+    # fill one table of at most depth + 1 entries.
+    sys = DigitSystem(signs, ListColumns((uniform_column(2),)))
+    expected = reference_tail_bounds(sys, 40)
+    for n in reversed(range(40)):
+        assert tail_bounds(sys, n, 40) == expected[n]
+    tails = expansion._TAILS[sys]
+    assert tails.pre + tails.period > 40 and tails.exact is None
+    assert list(tails.tables) == [40]
+    assert len(tails.tables[40]) <= 41
+
+
+def test_exact_queries_share_one_canonical_table():
+    sys = DigitSystem(SignSet.from_list([50]), ListColumns((uniform_column(2),)))
+    for depth in (40, 51, 52, 300):
+        expected = reference_tail_bounds(sys, depth)
+        for n in (0, 1, 39, depth - 1):
+            assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
+    tails = expansion._TAILS[sys]
+    assert (tails.pre, tails.period, tails.exact) == (50, 1, True)
+    assert sorted(tails.tables) == [40, 51]
+    assert len(tails.tables[51]) <= 52
+
+
+def test_deep_encode_keeps_one_tail_table():
+    sys = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "presets", "nega-binary.json"))
+    rng = random.Random(SEED + 11)
+    x = eval_prefix(word(sys, [rng.randrange(2) for _ in range(150)]))
+    result = encode(sys, x, Fraction(1, 2 ** 512), max_len=256)
+    assert len(result.digits) == 256
+    tables = expansion._TAILS[sys].tables
+    assert len(tables) == 1
+    assert sum(len(table) for table in tables.values()) == 3
 
 
 def test_value_range_known_systems():

@@ -266,6 +266,45 @@ def test_geometric_column_closed_forms():
         GeometricColumn(Fraction(1, 2), Fraction(3, 2)).tail(0)
 
 
+def test_geometric_column_matches_old_formulas():
+    # The closed forms around the cached total scale / (1 - ratio) against
+    # the formulas they replaced: tail(k) = scale * ratio**k / (1 - ratio)
+    # and weight(i) = tail(0) - tail(i).
+    rng = random.Random(SEED + 3)
+    for _ in range(20):
+        den = rng.randint(2, 10 ** 6)
+        ratio = Fraction(rng.randint(1, den - 1), den)
+        scale = rng.choice((1 - ratio, Fraction(rng.randint(1, 99), 100)))
+        col, fresh = GeometricColumn(scale, ratio), GeometricColumn(scale, ratio)
+
+        def old_tail(k):
+            return scale * ratio**k / (1 - ratio)
+
+        for i in range(61):
+            assert col.tail(i) == old_tail(i)
+            assert col.weight(i) == old_tail(0) - old_tail(i)
+        assert col.total == old_tail(0)
+        assert "_unit" in vars(col) and "_unit" not in vars(fresh)
+        assert col == fresh and hash(col) == hash(fresh)
+        assert repr(col) == repr(fresh)
+
+
+def test_geometric_column_keeps_its_errors():
+    col = GeometricColumn(Fraction(1, 3), Fraction(2, 3))
+    for bad in (-1, 1.0, None):
+        with pytest.raises(DomainError, match="tail index"):
+            col.tail(bad)
+        with pytest.raises(DomainError, match="tail index"):
+            col.weight(bad)
+    for ratio in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
+        bad_ratio = GeometricColumn(Fraction(1, 2), ratio)
+        for call in (bad_ratio.tail, bad_ratio.weight):
+            with pytest.raises(DomainError, match="ratio in"):
+                call(0)
+        with pytest.raises(DomainError, match="ratio in"):
+            bad_ratio.weight(-1)
+
+
 def test_uniform_column():
     col = uniform_column(4)
     assert col.top_digit == 3
