@@ -189,16 +189,17 @@ CLASSIC_NAMES = (
 def classic_by_name(name: str, params: dict, signs: "SignSet | None" = None) -> ClassicKind:
     """Resolve a CLI/file name plus parameters to a ClassicKind.
 
-    Only "mixed" takes a sign set; the other kinds fix their own.
+    Only "mixed" takes a sign set; the other kinds fix their own. A refused
+    name or sign set sets `argument` to "name" or "signs".
     """
     params = dict(params or {})
     if name not in CLASSIC_NAMES:
-        raise ConstructionError(f"unknown classic name {name!r}")
+        raise ConstructionError(f"unknown classic name {name!r}", "name")
     if name == "mixed":
         if signs is None:
-            raise ConstructionError('classic "mixed" needs a sign set')
+            raise ConstructionError('classic "mixed" needs a sign set', "signs")
     elif signs is not None:
-        raise ConstructionError(f'classic {name!r} fixes its own sign set')
+        raise ConstructionError(f'classic {name!r} fixes its own sign set', "signs")
 
     def take(key):
         if key not in params:

@@ -114,7 +114,7 @@ def _command(name: str):
 
 @_command("validate")
 def validate(system, depth):
-    """Check column positivity, unit sums, and the vanishing-product rule."""
+    """Certify that the product of column sup-entries vanishes."""
     report = system.validate(depth)
     return {
         "depth": report.depth,

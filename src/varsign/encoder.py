@@ -181,9 +181,9 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
                             chosen, chosen_hull = c + 1, neighbour
                     break
                 if col.is_infinite:
-                    # Every digit above c stays beyond base +/- weight*(1 -
-                    # 2*tail(c)); once that line passes x, none can contain it.
-                    reach = weight * (1 - 2 * col.tail(c))
+                    # Digits above c stay beyond base +/- weight*(2*weight(c)
+                    # - 1); once that line passes x, none can contain it.
+                    reach = weight * (2 * col.weight(c) - 1)
                     if (not marked and base + reach > x) or \
                             (marked and base - reach < x):
                         break

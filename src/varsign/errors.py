@@ -7,7 +7,12 @@ class VarsignError(Exception):
 
 class ConstructionError(VarsignError, ValueError):
     """A value object was built from inconsistent parts (zero denominator,
-    inverted interval, empty column, bad sign-set parameters, ...)."""
+    inverted interval, empty column, bad sign-set parameters, ...);
+    `argument` may name the refused argument for callers to report."""
+
+    def __init__(self, message, argument=None):
+        self.argument = argument
+        super().__init__(message)
 
 
 class DomainError(VarsignError, ValueError):

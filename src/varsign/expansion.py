@@ -57,7 +57,7 @@ class DigitWord:
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
         for pos, d in enumerate(self.digits, 1):
-            if not self.system.digit_valid(d, pos):
+            if not self.system.column(pos).digit_valid(d):
                 raise DomainError(f"digit {d} invalid at position {pos}")
 
     def __len__(self):
@@ -178,15 +178,19 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
 
     if not contributors_beyond:
         return Enclosure.point(0)
-    if cols.all_singleton_beyond(depth):
-        # Forced digits contribute weight 0 with entry 1: the tail is empty.
-        return Enclosure.point(0)
+    periodic = cols.periodicity()
+    if periodic is not None:
+        # Past the provider's preperiod one period of singleton columns means
+        # forced digits forever, each of weight 0 and entry 1: no tail.
+        window = range(depth + 1, max(depth, periodic[0]) + periodic[1] + 1)
+        if all(sys.column(t).top_digit == 0 for t in window):
+            return Enclosure.point(0)
     if not others_beyond and cols.claims_vanishing_product():
         # Every later position contributes 1 - entry; the sum telescopes to
         # 1 minus a vanishing product.
         return Enclosure.point(1)
 
-    if cols.periodicity() is not None:
+    if periodic is not None:
         pre, period = _structure_period(sys)
         if depth >= pre:
             # partial/den and running/den over one period, den unreduced.

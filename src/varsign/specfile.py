@@ -219,10 +219,10 @@ def parse_spec(text: str) -> DigitSystem:
             signs = _parse_signs(doc["nb"], "nb")
         try:
             system = make_classic(classic_by_name(name, params, signs))
-        except SpecError:
-            raise
         except VarsignError as exc:
-            raise SpecError(str(exc), where="columns") from exc
+            places = {"name": "columns.name", "signs": "nb" if "nb" in doc else "$"}
+            raise SpecError(str(exc), where=places.get(
+                getattr(exc, "argument", None), "columns.params")) from exc
     elif kind == "explicit":
         items = _as_list(_need(columns, "list", "columns"), "columns.list")
         if not items:

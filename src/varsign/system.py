@@ -9,16 +9,17 @@ the virtual position 0 is 0, which fixes the alternating column signs.
 Columns are valid by construction: each constructor refuses parameters that
 would give an entry <= 0 or a sum other than 1 with a `ConstructionError`, so
 every certified tail and bound downstream may rely on both conditions.
-Columns are indexed by digits from 0. `weight(i)` is the sum of the entries
-below digit i (the amount of mass to the left of the digit), the quantity the
-series evaluator multiplies by the running product of entries. Three column
-shapes exist. A uniform column of s digits (every classic and every
-`uniform` spec) is symbolic: it stores only s and the entry 1/s, and answers
-every query in O(1) whatever s. An explicit finite column checks its entries
-once when built and answers `weight` and `tail` in O(1) from an exact
-prefix-sum table that it builds on the first such call, so loading a spec
-never builds the table. A geometric column is infinite and answers from
-closed forms in its ratio.
+Columns are indexed by digits from 0 and answer `is_infinite`, `top_digit`,
+`digit_valid`, `entry`, `weight` and `sup_entry`; providers answer `column`,
+`periodicity` and `claims_vanishing_product`. `weight(i)` is the sum of the
+entries below digit i, the quantity the series evaluator multiplies by the
+running product of entries; the mass from digit i on is 1 - weight(i). A
+uniform column of s digits (every classic and every `uniform` spec) is
+symbolic: it stores only s and the entry 1/s, and answers every query in O(1)
+whatever s. An explicit finite column checks its entries once when built and
+answers `weight` in O(1) from an exact prefix-sum table built on the first
+call, so loading a spec never builds it. A geometric column is infinite and
+answers from closed forms in its ratio.
 """
 from __future__ import annotations
 
@@ -163,9 +164,10 @@ class FiniteColumn:
     Built from `finite` spec lists and hand-made columns; uniform columns
     use the symbolic `UniformColumn` instead. The constructor refuses an
     empty column, an entry <= 0 and entries whose sum is not 1.
-    `weight(i)` and `tail(k)` are read from `_prefix`, the exact sums of the
-    first 0..s entries, built on the first call and kept on the instance. It
-    is not a dataclass field, so equality, hashing and `repr` ignore it.
+    `weight(i)` is read from `_prefix`, the exact sums of the first 0..s
+    entries, built on the first call and kept on the instance, as is
+    `sup_entry`. Neither is a dataclass field, so equality, hashing and
+    `repr` ignore both.
     """
 
     entries: tuple
@@ -185,10 +187,6 @@ class FiniteColumn:
     @property
     def is_infinite(self) -> bool:
         return False
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.entries) == 1
 
     @property
     def top_digit(self) -> int:
@@ -211,17 +209,7 @@ class FiniteColumn:
             raise DomainError(f"digit {i} outside 0..{self.top_digit}")
         return self._prefix[i]
 
-    def tail(self, k: int) -> Fraction:
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"tail index must be >= 0, got {k!r}")
-        prefix = self._prefix
-        return prefix[-1] - prefix[min(k, len(self.entries))]
-
-    @property
-    def total(self) -> Fraction:
-        return ONE
-
-    @property
+    @cached_property
     def sup_entry(self) -> Fraction:
         return max(self.entries)
 
@@ -231,7 +219,7 @@ class UniformColumn:
     """The column of s equal entries 1/s, digits 0..s-1, in closed form.
 
     Only s and the entry 1/s are stored, so every query is O(1) whatever s:
-    weight(i) = i/s, tail(k) = max(s - k, 0)/s, total 1, sup entry 1/s.
+    weight(i) = i/s and sup entry 1/s.
     """
 
     s: int
@@ -243,10 +231,6 @@ class UniformColumn:
 
     @property
     def is_infinite(self) -> bool:
-        return False
-
-    @property
-    def is_singleton(self) -> bool:
         return False
 
     @property
@@ -266,15 +250,6 @@ class UniformColumn:
             raise DomainError(f"digit {i} outside 0..{self.top_digit}")
         return Fraction(i, self.s)
 
-    def tail(self, k: int) -> Fraction:
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"tail index must be >= 0, got {k!r}")
-        return Fraction(max(self.s - k, 0), self.s)
-
-    @property
-    def total(self) -> Fraction:
-        return ONE
-
     @property
     def sup_entry(self) -> Fraction:
         return self._entry
@@ -285,9 +260,8 @@ class GeometricColumn:
     """The built-in infinite column rule: entry(i) = scale * ratio**i.
 
     The constructor refuses a ratio outside (0, 1) and scale + ratio != 1,
-    so the entries are positive and sum to 1. The exact tail
-    sum_{i>=k} entry(i) = ratio**k then makes digit weights and truncation
-    checks exact: weight(i) = 1 - ratio**i.
+    so the entries are positive and sum to 1. The mass from digit i on is
+    ratio**i, which makes digit weights exact: weight(i) = 1 - ratio**i.
     """
 
     scale: Fraction
@@ -307,10 +281,6 @@ class GeometricColumn:
         return True
 
     @property
-    def is_singleton(self) -> bool:
-        return False
-
-    @property
     def top_digit(self) -> None:
         return None
 
@@ -322,19 +292,10 @@ class GeometricColumn:
             raise DomainError(f"digit must be >= 0, got {i!r}")
         return self.scale * self.ratio**i
 
-    def tail(self, k: int) -> Fraction:
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"tail index must be >= 0, got {k!r}")
-        return self.ratio**k
-
     def weight(self, i: int) -> Fraction:
-        if not isinstance(i, int) or i < 0:
-            raise DomainError(f"tail index must be >= 0, got {i!r}")
+        if not self.digit_valid(i):
+            raise DomainError(f"digit must be >= 0, got {i!r}")
         return 1 - self.ratio**i
-
-    @property
-    def total(self) -> Fraction:
-        return ONE
 
     @property
     def sup_entry(self) -> Fraction:
@@ -393,11 +354,6 @@ class ListColumns:
             product *= self.column(t).sup_entry
         return product < 1
 
-    def all_singleton_beyond(self, bound: int) -> bool:
-        pre, period = self.periodicity()
-        window = range(bound + 1, max(bound, pre) + period + 1)
-        return all(self.column(t).is_singleton for t in window)
-
 
 class RuleColumns:
     """Columns produced by an arbitrary rule n -> column.
@@ -428,9 +384,6 @@ class RuleColumns:
     def claims_vanishing_product(self) -> bool:
         return self._vanishing
 
-    def all_singleton_beyond(self, bound: int) -> bool:
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Validation report
@@ -457,8 +410,7 @@ class DigitSystem:
     def __init__(self, signs: SignSet, columns):
         if not isinstance(signs, SignSet):
             raise ConstructionError("signs must be a SignSet")
-        for name in ("column", "periodicity", "claims_vanishing_product",
-                     "all_singleton_beyond"):
+        for name in ("column", "periodicity", "claims_vanishing_product"):
             if not callable(getattr(columns, name, None)):
                 raise ConstructionError(f"column provider lacks {name}()")
         self.signs = signs
@@ -481,9 +433,6 @@ class DigitSystem:
         term sign."""
         prev = 0 if n == 1 else self.sign_exponent(n - 1)
         return -1 if (prev + self.sign_exponent(n)) % 2 else 1
-
-    def digit_valid(self, i: int, n: int) -> bool:
-        return self.column(n).digit_valid(i)
 
     def validate(self, depth: int) -> ValidationReport:
         """The shrinking-product certificate over the columns up to `depth`.

@@ -227,11 +227,18 @@ def reference_tail_seed(system: DigitSystem, depth: int, low: bool) -> tuple:
     members = signs.has_members_beyond(depth)
     nonmembers = signs.has_nonmembers_beyond(depth)
     contributors, others = (members, nonmembers) if low else (nonmembers, members)
-    if not contributors or cols.all_singleton_beyond(depth):
+    if not contributors:
+        return Fraction(0), Fraction(0)
+    per = cols.periodicity()
+    # Columns repeat past per[0], so depth + per[0] + per[1] reaches a full
+    # period past the preperiod wherever depth lies.
+    if per is not None and all(
+        system.column(t).top_digit == 0
+        for t in range(depth + 1, depth + per[0] + per[1] + 1)
+    ):
         return Fraction(0), Fraction(0)
     if not others and cols.claims_vanishing_product():
         return Fraction(1), Fraction(1)
-    per = cols.periodicity()
     if per is not None:
         pre = max(per[0], signs.periodicity()[0])
         period = math.lcm(per[1], signs.periodicity()[1])

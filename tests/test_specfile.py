@@ -62,6 +62,7 @@ def test_mixed_classic_requires_sign_set():
     with pytest.raises(SpecError) as err:
         parse_spec('{"columns": {"kind": "classic", "name": "mixed", "params": {"s": 2}}}')
     assert "sign set" in str(err.value)
+    assert err.value.where == "$"
     system = parse_spec(
         '{"nb": {"kind": "even"},'
         ' "columns": {"kind": "classic", "name": "mixed", "params": {"s": 2}}}'
@@ -70,11 +71,12 @@ def test_mixed_classic_requires_sign_set():
 
 
 def test_other_classics_reject_sign_set():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         parse_spec(
             '{"nb": {"kind": "odd"},'
             ' "columns": {"kind": "classic", "name": "s-adic", "params": {"s": 2}}}'
         )
+    assert err.value.where == "nb"
 
 
 def test_bad_json_reports_position():
@@ -95,6 +97,10 @@ def test_schema_errors_carry_paths():
             ' "columns": {"kind": "explicit", "list": [{"uniform": {"s": 2}}]}}'
         )
     assert "nb.members[1]" in str(err.value)
+
+    with pytest.raises(SpecError) as err:
+        parse_spec('{"columns": {"kind": "classic", "name": "nope"}}')
+    assert err.value.where == "columns.name"
 
 
 def test_unknown_fields_rejected():
@@ -194,6 +200,10 @@ def test_oversized_finite_list_rejected_before_parsing_entries():
     ('"q": 5', "columns.params.q"),
     ('"q": ["7", 3]', "columns.params.q[0]"),
     ('"q": [7, 3.9]', "columns.params.q[1]"),
+    ('"s": 1', "columns.params"),
+    ('', "columns.params"),
+    ('"q": []', "columns.params"),
+    ('"s": 2, "t": 3', "columns.params"),
 ])
 def test_classic_parameters_must_be_integers(params, where):
     name = "cantor" if '"q"' in params else "s-adic"

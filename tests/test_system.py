@@ -10,6 +10,7 @@ from varsign import (
     ConstructionError,
     DigitSystem,
     DomainError,
+    Enclosure,
     FiniteColumn,
     GeometricColumn,
     INCONCLUSIVE,
@@ -182,8 +183,6 @@ def test_finite_column_accessors():
     assert col.entry(1) == Fraction(1, 3)
     assert col.weight(0) == 0
     assert col.weight(2) == Fraction(5, 6)
-    assert col.tail(1) == Fraction(1, 2)
-    assert col.total == 1
     assert col.sup_entry == Fraction(1, 2)
 
 
@@ -201,24 +200,20 @@ def _column_of(weights):
 
 def test_finite_column_weight_and_tail_match_plain_sums():
     # The entries share one denominator, so the plain sums of entries[:i]
-    # and entries[k:] are integer sums of the weights over that denominator.
+    # are integer sums of the weights over that denominator.
     rng = random.Random(SEED)
     for size in (1, 2, 3, 17, 600, *(rng.randint(4, 600) for _ in range(3))):
         for ordered in (True, False):
             weights = _random_weights(rng, size, ordered)
             total = sum(weights)
-            # one column builds its table from weight, the other from tail
-            by_weight, by_tail = _column_of(weights), _column_of(weights)
-            assert by_weight.weight(size - 1) == Fraction(total - weights[-1], total)
-            assert by_tail.tail(size) == 0
+            # one column builds its table from the top digit, the other from 0
+            by_top, by_bottom = _column_of(weights), _column_of(weights)
+            assert by_top.weight(size - 1) == Fraction(total - weights[-1], total)
+            assert by_bottom.weight(0) == 0
             for i in range(size):
                 below = Fraction(sum(weights[:i]), total)
-                assert by_weight.weight(i) == below
-                assert by_tail.weight(i) == below
-            for k in range(size + 3):
-                above = Fraction(sum(weights[k:]), total)
-                assert by_weight.tail(k) == above
-                assert by_tail.tail(k) == above
+                assert by_top.weight(i) == below
+                assert by_bottom.weight(i) == below
 
 
 def test_finite_column_rejects_digits_outside_alphabet():
@@ -226,9 +221,6 @@ def test_finite_column_rejects_digits_outside_alphabet():
     for bad in (-1, 5, 10 ** 9, 1.0, "1", None):
         with pytest.raises(DomainError):
             col.weight(bad)
-    for bad in (-1, 1.0, None):
-        with pytest.raises(DomainError):
-            col.tail(bad)
     # the built table holds s + 1 sums, so digit s must still be refused
     col.weight(2)
     with pytest.raises(DomainError):
@@ -243,6 +235,15 @@ def test_finite_column_table_is_invisible():
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert "_prefix" not in repr(used)
+
+
+def test_finite_column_sup_entry_is_kept():
+    weights = _random_weights(random.Random(SEED), 40, False)
+    used, fresh = _column_of(weights), _column_of(weights)
+    assert used.sup_entry == Fraction(max(weights), sum(weights))
+    assert "sup_entry" in vars(used) and "sup_entry" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
 
 
 def test_parse_spec_builds_no_prefix_table():
@@ -260,8 +261,6 @@ def test_geometric_column_closed_forms():
     assert col.is_infinite
     assert col.entry(3) == Fraction(1, 16)
     assert col.weight(2) == Fraction(3, 4)
-    assert col.tail(2) == Fraction(1, 4)
-    assert col.total == 1
     assert col.digit_valid(10 ** 9)
     with pytest.raises(ConstructionError):
         GeometricColumn(Fraction(1, 2), Fraction(3, 2))
@@ -281,9 +280,7 @@ def test_geometric_column_matches_old_formulas():
             return scale * ratio**k / (1 - ratio)
 
         for i in range(61):
-            assert col.tail(i) == old_tail(i)
             assert col.weight(i) == old_tail(0) - old_tail(i)
-        assert col.total == old_tail(0)
         assert col == fresh and hash(col) == hash(fresh)
         assert repr(col) == repr(fresh)
 
@@ -291,9 +288,7 @@ def test_geometric_column_matches_old_formulas():
 def test_geometric_column_keeps_its_errors():
     col = GeometricColumn(Fraction(1, 3), Fraction(2, 3))
     for bad in (-1, 1.0, None):
-        with pytest.raises(DomainError, match="tail index"):
-            col.tail(bad)
-        with pytest.raises(DomainError, match="tail index"):
+        with pytest.raises(DomainError, match="digit"):
             col.weight(bad)
     for ratio in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ConstructionError, match="ratio"):
@@ -314,17 +309,16 @@ def test_uniform_column_matches_finite_column_of_equal_entries():
         uni = uniform_column(s)
         fin = FiniteColumn((Fraction(1, s),) * s)
         assert isinstance(uni, UniformColumn)
-        assert (uni.top_digit, uni.is_singleton, uni.is_infinite) == (
-            fin.top_digit, fin.is_singleton, fin.is_infinite)
-        # The finite column sums and compares all s entries for these three;
+        assert (uni.top_digit, uni.is_infinite) == (fin.top_digit, fin.is_infinite)
+        # The finite column compares all s entries for these two checks;
         # every alphabet up to 64 and a sample beyond keep the suite quick.
         whole = s <= 64 or s % 50 == 0
         if whole:
-            assert fin.total == 1 and fin.sup_entry == Fraction(1, s)
+            assert fin.sup_entry == Fraction(1, s)
             signs = SignSet.odd()
             assert (DigitSystem(signs, ListColumns((uni,))).validate(3)
                     == DigitSystem(signs, ListColumns((fin,))).validate(3))
-        assert uni.total == 1 and uni.sup_entry == Fraction(1, s)
+        assert uni.sup_entry == Fraction(1, s)
         if s <= 40:
             digits = range(s)
         else:
@@ -333,8 +327,6 @@ def test_uniform_column_matches_finite_column_of_equal_entries():
             assert uni.digit_valid(i) and fin.digit_valid(i)
             assert uni.entry(i) == fin.entry(i)
             assert uni.weight(i) == fin.weight(i)
-        for k in {0, 1, s // 2, s - 1, s, s + 1, 2 * s, 10 ** 9}:
-            assert uni.tail(k) == fin.tail(k)
         for bad in (-1, s, s + 5, 1.0, "1", None):
             assert not uni.digit_valid(bad) and not fin.digit_valid(bad)
             for col in (uni, fin):
@@ -342,10 +334,6 @@ def test_uniform_column_matches_finite_column_of_equal_entries():
                     col.entry(bad)
                 with pytest.raises(DomainError):
                     col.weight(bad)
-        for bad in (-1, 1.0, None):
-            for col in (uni, fin):
-                with pytest.raises(DomainError):
-                    col.tail(bad)
 
 
 def test_uniform_column_refuses_fewer_than_two_digits():
@@ -393,7 +381,10 @@ def test_list_columns_vanishing_claim():
     assert ListColumns((uniform_column(2),)).claims_vanishing_product()
     stuck = ListColumns((FiniteColumn((Fraction(1),)),))
     assert not stuck.claims_vanishing_product()
-    assert stuck.all_singleton_beyond(0)
+    # One digit forever: every value is 0. The sign set's preperiod lies
+    # past the depth, so only the singleton columns make the tails exact.
+    lo, hi = value_range(DigitSystem(SignSet.from_list((100,)), stuck), 40)
+    assert lo == hi == Enclosure.point(0)
 
 
 def test_rule_columns_memoize_and_stay_modest():
@@ -409,7 +400,6 @@ def test_rule_columns_memoize_and_stay_modest():
     assert calls == [3]
     assert cols.periodicity() is None
     assert not cols.claims_vanishing_product()
-    assert not cols.all_singleton_beyond(5)
 
 
 def test_sign_laws():
