@@ -10,14 +10,12 @@ digit pairs, and greedily encodes rational targets.
 from .classics import (
     ClassicKind,
     cantor,
-    classic_by_name,
     example_a,
     example_b,
     make_classic,
     mixed_sign,
     nega_cantor,
     nega_s_adic,
-    odd_sign_columns,
     oracle_eval,
     s_adic,
 )
@@ -57,10 +55,10 @@ from .expansion import (
     tail_bounds,
     value_range,
     word,
+    word_bounds,
 )
 from .numerics import (
     Enclosure,
-    Rational,
     format_enclosure,
     format_rational,
     parse_enclosure,
@@ -102,7 +100,6 @@ __all__ = [
     "PairCheck",
     "ParameterError",
     "PlacementReport",
-    "Rational",
     "RangeError",
     "RuleColumns",
     "SignSet",
@@ -112,7 +109,6 @@ __all__ = [
     "ValidationReport",
     "VarsignError",
     "cantor",
-    "classic_by_name",
     "cylinder",
     "cylinder_bounds",
     "cylinder_length",
@@ -130,7 +126,6 @@ __all__ = [
     "mixed_sign",
     "nega_cantor",
     "nega_s_adic",
-    "odd_sign_columns",
     "oracle_eval",
     "parse_enclosure",
     "parse_rational",
@@ -146,4 +141,5 @@ __all__ = [
     "uniform_column",
     "value_range",
     "word",
+    "word_bounds",
 ]

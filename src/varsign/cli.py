@@ -24,7 +24,7 @@ import click
 from .cylinders import cylinder, cylinder_bounds, metric_ratio, placement
 from .encoder import encode, theorem_check
 from .errors import SpecError, VarsignError
-from .expansion import DEFAULT_DEPTH, eval_enclosure, eval_prefix, value_range, word
+from .expansion import DEFAULT_DEPTH, value_range, word, word_bounds
 from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 
@@ -144,11 +144,12 @@ def eval_cmd(system, depth, digits):
     """Evaluate a digit word: exact prefix value plus a value enclosure."""
     w = word(system, _parse_digits(digits))
     use_depth = max(depth, len(w) + 2)
+    value, inf, sup = word_bounds(w, use_depth)
     return {
         "depth": use_depth,
         "digits": list(w.digits),
-        "prefix_value": format_rational(eval_prefix(w)),
-        "enclosure": format_enclosure(eval_enclosure(w, use_depth)),
+        "prefix_value": format_rational(value),
+        "enclosure": format_enclosure(inf.hull(sup)),
     }
 
 

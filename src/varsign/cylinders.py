@@ -3,8 +3,8 @@
 The cylinder of a base word is the closed set of values of all its
 continuations. Its endpoints are the base's exact partial value plus the
 base weight times the two extremal tails, so every geometric quantity here
-is an Enclosure built from the public `prefix_walk` and `tail_bounds` of the
-expansion module.
+is an Enclosure built from the public `word_bounds`, `prefix_weight` and
+`tail_bounds` of the expansion module.
 
 Placement compares the cylinders of adjacent digits c and c+1 at the first
 free position. kappa1 is (sup of the c-cylinder) - (inf of the (c+1)-cylinder)
@@ -24,10 +24,10 @@ from .numerics import Enclosure, ZERO
 from .expansion import (
     DEFAULT_DEPTH,
     DigitWord,
-    prefix_walk,
     prefix_weight,
     tail_bounds,
     word,
+    word_bounds,
 )
 from .system import DigitSystem
 
@@ -60,11 +60,7 @@ def cylinder_bounds(cyl: Cylinder, depth: int = DEFAULT_DEPTH) -> tuple:
         raise ParameterError(
             f"tail depth must exceed rank {cyl.rank}, got {depth!r}"
         )
-    value, weight = prefix_walk(cyl.base)
-    return tuple(
-        tail.scale(weight).shift(value)
-        for tail in tail_bounds(cyl.system, cyl.rank, depth)
-    )
+    return word_bounds(cyl.base, depth)[1:]
 
 
 def cylinder_length(cyl: Cylinder, depth: int = DEFAULT_DEPTH) -> Enclosure:

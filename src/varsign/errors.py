@@ -7,12 +7,8 @@ class VarsignError(Exception):
 
 class ConstructionError(VarsignError, ValueError):
     """A value object was built from inconsistent parts (zero denominator,
-    inverted interval, empty column, bad sign-set parameters, ...);
-    `argument` may name the refused argument for callers to report."""
-
-    def __init__(self, message, argument=None):
-        self.argument = argument
-        super().__init__(message)
+    inverted interval, empty column, bad sign-set parameters, ...). The spec
+    loader reports it as a SpecError at the field it built from."""
 
 
 class DomainError(VarsignError, ValueError):

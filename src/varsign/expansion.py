@@ -63,16 +63,6 @@ class DigitWord:
     def __len__(self):
         return len(self.digits)
 
-    @property
-    def rank(self) -> int:
-        return len(self.digits)
-
-    def child(self, digit: int) -> "DigitWord":
-        return DigitWord(self.system, self.digits + (digit,))
-
-    def prefix(self, length: int) -> "DigitWord":
-        return DigitWord(self.system, self.digits[:length])
-
 
 def word(system: DigitSystem, digits) -> DigitWord:
     return DigitWord(system, tuple(digits))
@@ -325,12 +315,20 @@ def value_range(sys: DigitSystem, depth: int = DEFAULT_DEPTH) -> tuple:
     return tail_bounds(sys, 0, depth)
 
 
+def word_bounds(w: DigitWord, depth: int) -> tuple:
+    """(value, inf, sup): the word's exact value and enclosures of the
+    infimum and supremum of its continuations, each value + weight * tail,
+    from one prefix walk and one tail lookup. Requires depth > len(w)."""
+    value, weight = prefix_walk(w)
+    lo, hi = tail_bounds(w.system, len(w), depth)
+    return value, lo.scale(weight).shift(value), hi.scale(weight).shift(value)
+
+
 def eval_enclosure(w: DigitWord, depth: int = DEFAULT_DEPTH) -> Enclosure:
     """Enclosure of the set of values of all infinite continuations of w."""
     if not isinstance(depth, int) or depth <= len(w):
         raise ParameterError(
             f"tail depth must exceed word length {len(w)}, got {depth!r}"
         )
-    value, weight = prefix_walk(w)
-    lo, hi = tail_bounds(w.system, len(w), depth)
-    return Enclosure(value + weight * lo.lo, value + weight * hi.hi)
+    _, inf, sup = word_bounds(w, depth)
+    return inf.hull(sup)

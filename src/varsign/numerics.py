@@ -1,12 +1,12 @@
 """Exact scalar and interval arithmetic used by every other module.
 
 Scalars are arbitrary-precision rationals. The stdlib `fractions.Fraction`
-already keeps the canonical reduced form with a positive denominator, so it
-is re-exported as `Rational`; this module adds the guarded constructor, the
-"p/q" wire format, and `Enclosure`, a closed rational interval that certifies
-a real quantity obtained by truncating an infinite series. All interval
-operations are outward-exact: the result interval contains every value the
-operation can take on members of the operands, with no rounding anywhere.
+already keeps the canonical reduced form with a positive denominator; this
+module adds the guarded constructor, the "p/q" wire format, and `Enclosure`,
+a closed rational interval that certifies a real quantity obtained by
+truncating an infinite series. All interval operations are outward-exact:
+the result interval contains every value the operation can take on members
+of the operands, with no rounding anywhere.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

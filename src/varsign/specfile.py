@@ -15,12 +15,15 @@ or defers to a named classic:
 
     {"columns": {"kind": "classic", "name": "nega-s-adic", "params": {"s": 2}}}
 
-Only the classic "mixed" accepts (and requires) a top-level "nb".  The
-classic parameters are JSON integers ("s") or arrays of them ("q"); all
-rationals are strings "p/q" or "p".  No column may have more than MAX_DIGITS
-digits; larger ones are refused before any entry is built.  The column
-constructors refuse an entry <= 0 or a sum other than 1, and that refusal
-becomes a SpecError at the column's own path, e.g. "columns.list[1]".
+This module owns the whole schema: the fields of every object, the classic
+names with the one parameter each takes, and the path at which each refusal
+is reported. Only the classic "mixed" accepts (and requires) a top-level
+"nb". The classic parameters are JSON integers ("s") or arrays of them
+("q"); all rationals are strings "p/q" or "p". No column may have more than
+MAX_DIGITS digits; larger ones are refused before any entry is built. A
+refusal by the library's constructors (a column entry <= 0 or a sum other
+than 1, a base below 2, a bad sign-set parameter) becomes a SpecError at the
+object it was built from, e.g. "columns.list[1]", "columns.params" or "nb".
 Errors carry the JSON path (or line/column for malformed JSON) so they are
 easy to trace.
 """
@@ -28,7 +31,16 @@ from __future__ import annotations
 
 import json
 
-from .classics import classic_by_name, make_classic
+from .classics import (
+    cantor,
+    example_a,
+    example_b,
+    make_classic,
+    mixed_sign,
+    nega_cantor,
+    nega_s_adic,
+    s_adic,
+)
 from .errors import SpecError, VarsignError
 from .numerics import parse_rational
 from .system import (
@@ -40,22 +52,43 @@ from .system import (
     uniform_column,
 )
 
-_NB_KINDS = ("empty", "all", "odd", "even", "list", "residues", "complement")
-
 # Largest alphabet a spec may ask for; it still admits s = 10**6.
 MAX_DIGITS = 2**20
 
+# Classic name -> (constructor, its one parameter or None); "mixed" also
+# takes the document's "nb".
+_CLASSICS = {
+    "s-adic": (s_adic, "s"),
+    "nega-s-adic": (nega_s_adic, "s"),
+    "cantor": (cantor, "q"),
+    "nega-cantor": (nega_cantor, "q"),
+    "mixed": (mixed_sign, "s"),
+    "example-a": (example_a, None),
+    "example-b": (example_b, None),
+}
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SpecError(f"missing required field {key!r}", where=where)
-    return obj[key]
 
-
-def _as_dict(value, where: str) -> dict:
+def _object(value, where: str, required=(), optional=None) -> dict:
+    """The JSON object `value`, which must have every field in `required`
+    and, unless `optional` is None, no field outside required + optional."""
     if not isinstance(value, dict):
         raise SpecError("expected an object", where=where)
+    for key in required:
+        if key not in value:
+            raise SpecError(f"missing required field {key!r}", where=where)
+    if optional is not None:
+        extra = value.keys() - {*required, *optional}
+        if extra:
+            raise SpecError(f"unexpected fields {sorted(extra)}", where=where)
     return value
+
+
+def _built(where: str, build, *args):
+    """build(*args), with a refusal by the library reported at `where`."""
+    try:
+        return build(*args)
+    except VarsignError as exc:
+        raise SpecError(str(exc), where=where) from exc
 
 
 def _as_list(value, where: str) -> list:
@@ -70,110 +103,119 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _check_alphabet(size: int, where: str) -> None:
-    """Refuse a column of more than MAX_DIGITS digits before it is built."""
+def _ints(value, where: str, item=_as_int) -> tuple:
+    """A JSON array whose entries `item` reads as integers."""
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where)))
+
+
+def _size(value, where: str) -> int:
+    """An alphabet size, refused above MAX_DIGITS before any column is built."""
+    size = _as_int(value, where)
     if size > MAX_DIGITS:
         raise SpecError(f"more than {MAX_DIGITS} digits", where=where)
+    return size
 
 
 def _as_rational(value, where: str):
     if not isinstance(value, str):
         raise SpecError('expected a rational string like "2/3"', where=where)
-    try:
-        return parse_rational(value)
-    except VarsignError as exc:
-        raise SpecError(str(exc), where=where) from exc
+    return _built(where, parse_rational, value)
 
 
 def _parse_signs(obj, where: str) -> SignSet:
-    obj = _as_dict(obj, where)
-    kind = _need(obj, "kind", where)
-    if kind not in _NB_KINDS:
+    kind = _object(obj, where, ("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _SIGN_KINDS:
         raise SpecError(f"unknown sign-set kind {kind!r}", where=f"{where}.kind")
-    known = {"kind"}
-    try:
-        if kind == "empty":
-            result = SignSet.none()
-        elif kind == "all":
-            result = SignSet.every()
-        elif kind == "odd":
-            result = SignSet.odd()
-        elif kind == "even":
-            result = SignSet.even()
-        elif kind == "list":
-            known.add("members")
-            members = _as_list(_need(obj, "members", where), f"{where}.members")
-            result = SignSet.from_list(
-                _as_int(m, f"{where}.members[{i}]") for i, m in enumerate(members)
-            )
-        elif kind == "residues":
-            known.update(("modulus", "residues", "start_k"))
-            modulus = _as_int(_need(obj, "modulus", where), f"{where}.modulus")
-            residues = _as_list(_need(obj, "residues", where), f"{where}.residues")
-            residues = tuple(
-                _as_int(r, f"{where}.residues[{i}]") for i, r in enumerate(residues)
-            )
-            start_k = obj.get("start_k", 0)
-            result = SignSet.residue_classes(
-                modulus, residues, _as_int(start_k, f"{where}.start_k")
-            )
-        else:
-            known.add("of")
-            result = SignSet.complement(_parse_signs(_need(obj, "of", where), f"{where}.of"))
-    except SpecError:
-        raise
-    except VarsignError as exc:
-        raise SpecError(str(exc), where=where) from exc
-    extra = set(obj) - known
-    if extra:
-        raise SpecError(f"unexpected fields {sorted(extra)}", where=where)
-    return result
+    build, required, optional = _SIGN_KINDS[kind]
+    _object(obj, where, ("kind", *required), optional)
+    # A loop: a comprehension's frame would halve the depth "of" can nest.
+    args = []
+    for key in required + optional:
+        if key in obj:
+            args.append(_SIGN_FIELDS[key](obj[key], f"{where}.{key}"))
+    return _built(where, build, *args)
+
+
+# Sign-set kind -> (constructor, its required fields in argument order, the
+# optional ones after them), and how each field is read.
+_SIGN_KINDS = {
+    "empty": (SignSet.none, (), ()),
+    "all": (SignSet.every, (), ()),
+    "odd": (SignSet.odd, (), ()),
+    "even": (SignSet.even, (), ()),
+    "list": (SignSet.from_list, ("members",), ()),
+    "residues": (SignSet.residue_classes, ("modulus", "residues"), ("start_k",)),
+    "complement": (SignSet.complement, ("of",), ()),
+}
+_SIGN_FIELDS = {
+    "members": _ints,
+    "modulus": _as_int,
+    "residues": _ints,
+    "start_k": _as_int,
+    "of": _parse_signs,
+}
 
 
 def _parse_column(obj, where: str):
-    obj = _as_dict(obj, where)
-    if len(obj) != 1:
+    if len(_object(obj, where)) != 1:
         raise SpecError(
             'expected exactly one of "finite", "geometric", "uniform"', where=where
         )
     (key, value), = obj.items()
-    try:
-        if key == "finite":
-            entries = _as_list(value, f"{where}.finite")
-            if not entries:
-                raise SpecError("needs at least one entry", where=f"{where}.finite")
-            _check_alphabet(len(entries), f"{where}.finite")
-            return FiniteColumn(
-                tuple(
-                    _as_rational(e, f"{where}.finite[{i}]")
-                    for i, e in enumerate(entries)
-                )
-            )
-        if key == "geometric":
-            value = _as_dict(value, f"{where}.geometric")
-            scale = _as_rational(_need(value, "c", f"{where}.geometric"),
-                                 f"{where}.geometric.c")
-            ratio = _as_rational(_need(value, "r", f"{where}.geometric"),
-                                 f"{where}.geometric.r")
-            extra = set(value) - {"c", "r"}
-            if extra:
-                raise SpecError(f"unexpected fields {sorted(extra)}",
-                                where=f"{where}.geometric")
-            return GeometricColumn(scale, ratio)
-        if key == "uniform":
-            value = _as_dict(value, f"{where}.uniform")
-            s = _as_int(_need(value, "s", f"{where}.uniform"), f"{where}.uniform.s")
-            extra = set(value) - {"s"}
-            if extra:
-                raise SpecError(f"unexpected fields {sorted(extra)}",
-                                where=f"{where}.uniform")
-            _check_alphabet(s, f"{where}.uniform.s")
-            return uniform_column(s)
-    except SpecError:
-        raise
-    except VarsignError as exc:
-        raise SpecError(str(exc), where=where) from exc
+    if key == "finite":
+        entries = _as_list(value, f"{where}.finite")
+        if not entries:
+            raise SpecError("needs at least one entry", where=f"{where}.finite")
+        _size(len(entries), f"{where}.finite")
+        return _built(where, FiniteColumn, tuple(
+            _as_rational(e, f"{where}.finite[{i}]") for i, e in enumerate(entries)
+        ))
+    if key == "geometric":
+        value = _object(value, f"{where}.geometric", ("c", "r"), ())
+        return _built(where, GeometricColumn,
+                      _as_rational(value["c"], f"{where}.geometric.c"),
+                      _as_rational(value["r"], f"{where}.geometric.r"))
+    if key == "uniform":
+        value = _object(value, f"{where}.uniform", ("s",), ())
+        return _built(where, uniform_column, _size(value["s"], f"{where}.uniform.s"))
     raise SpecError(f"unknown column kind {key!r}", where=where)
+
+
+def _classic(doc: dict, columns: dict) -> DigitSystem:
+    name = columns["name"]
+    if not isinstance(name, str):
+        raise SpecError("expected a string", where="columns.name")
+    if name not in _CLASSICS:
+        raise SpecError(f"unknown classic name {name!r}", where="columns.name")
+    build, param = _CLASSICS[name]
+    params = _object(columns.get("params", {}), "columns.params",
+                     (param,) if param else (), ())
+    args = []
+    if param == "s":
+        args.append(_size(params["s"], "columns.params.s"))
+    elif param == "q":
+        args.append(_ints(params["q"], "columns.params.q", _size))
+    if name == "mixed":
+        if "nb" not in doc:
+            raise SpecError('classic "mixed" needs a sign set', where="$")
+        args.append(_parse_signs(doc["nb"], "nb"))
+    elif "nb" in doc:
+        raise SpecError(f"classic {name!r} fixes its own sign set", where="nb")
+    return make_classic(_built("columns.params", build, *args))
+
+
+def _explicit(doc: dict, columns: dict) -> DigitSystem:
+    items = _as_list(columns["list"], "columns.list")
+    if not items:
+        raise SpecError("needs at least one column", where="columns.list")
+    extend = columns.get("extend", "repeat-last")
+    if extend not in ("repeat-last", "cycle"):
+        raise SpecError(f"unknown extension rule {extend!r}", where="columns.extend")
+    parsed = tuple(
+        _parse_column(item, f"columns.list[{i}]") for i, item in enumerate(items)
+    )
+    signs = _parse_signs(_object(doc, "$", ("nb",))["nb"], "nb")
+    return DigitSystem(signs, ListColumns(parsed, extend))
 
 
 def parse_spec(text: str) -> DigitSystem:
@@ -189,63 +231,22 @@ def parse_spec(text: str) -> DigitSystem:
         # Nesting deeper than the interpreter's recursion limit, or an
         # integer literal longer than int() accepts.
         raise SpecError(f"invalid JSON: {exc}", where="$") from exc
-    doc = _as_dict(doc, "$")
-    extra = set(doc) - {"nb", "columns"}
-    if extra:
-        raise SpecError(f"unexpected fields {sorted(extra)}", where="$")
+    try:
+        return _system(doc)
+    except RecursionError as exc:
+        # The decoder nests a little deeper than the walk of its result.
+        raise SpecError("nested too deeply", where="$") from exc
 
-    columns = _as_dict(_need(doc, "columns", "$"), "columns")
-    kind = _need(columns, "kind", "columns")
 
+def _system(doc) -> DigitSystem:
+    doc = _object(doc, "$", ("columns",), ("nb",))
+    columns = _object(doc["columns"], "columns", ("kind",))
+    kind = columns["kind"]
     if kind == "classic":
-        name = _need(columns, "name", "columns")
-        if not isinstance(name, str):
-            raise SpecError("expected a string", where="columns.name")
-        params = columns.get("params", {})
-        params = _as_dict(params, "columns.params")
-        extra = set(columns) - {"kind", "name", "params"}
-        if extra:
-            raise SpecError(f"unexpected fields {sorted(extra)}", where="columns")
-        if "s" in params:
-            where = "columns.params.s"
-            _check_alphabet(_as_int(params["s"], where), where)
-        if "q" in params:
-            qs = _as_list(params["q"], "columns.params.q")
-            for i, q in enumerate(qs):
-                where = f"columns.params.q[{i}]"
-                _check_alphabet(_as_int(q, where), where)
-        signs = None
-        if "nb" in doc:
-            signs = _parse_signs(doc["nb"], "nb")
-        try:
-            system = make_classic(classic_by_name(name, params, signs))
-        except VarsignError as exc:
-            places = {"name": "columns.name", "signs": "nb" if "nb" in doc else "$"}
-            raise SpecError(str(exc), where=places.get(
-                getattr(exc, "argument", None), "columns.params")) from exc
-    elif kind == "explicit":
-        items = _as_list(_need(columns, "list", "columns"), "columns.list")
-        if not items:
-            raise SpecError("needs at least one column", where="columns.list")
-        extend = columns.get("extend", "repeat-last")
-        if extend not in ("repeat-last", "cycle"):
-            raise SpecError(
-                f"unknown extension rule {extend!r}", where="columns.extend"
-            )
-        extra = set(columns) - {"kind", "list", "extend"}
-        if extra:
-            raise SpecError(f"unexpected fields {sorted(extra)}", where="columns")
-        parsed = tuple(
-            _parse_column(item, f"columns.list[{i}]") for i, item in enumerate(items)
-        )
-        signs = _parse_signs(_need(doc, "nb", "$"), "nb")
-        try:
-            system = DigitSystem(signs, ListColumns(parsed, extend))
-        except VarsignError as exc:
-            raise SpecError(str(exc), where="columns") from exc
-    else:
-        raise SpecError(f"unknown columns kind {kind!r}", where="columns.kind")
-    return system
+        return _classic(doc, _object(columns, "columns", ("kind", "name"), ("params",)))
+    if kind == "explicit":
+        return _explicit(doc, _object(columns, "columns", ("kind", "list"), ("extend",)))
+    raise SpecError(f"unknown columns kind {kind!r}", where="columns.kind")
 
 
 def load_spec(path) -> DigitSystem:

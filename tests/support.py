@@ -8,8 +8,12 @@ can be globally suboptimal.)  `random_any_column` also draws unsorted,
 singleton and geometric columns; it serves tests that compare the tail
 layer with `reference_tail_bounds`, which follows the same recipe.
 """
+import copy
 from fractions import Fraction
+import glob
+import json
 import math
+import os
 import random
 
 from varsign import (
@@ -271,3 +275,84 @@ def reference_tail_bounds(system: DigitSystem, depth: int) -> dict:
         high_lo, high_hi = a + q * high_lo, a + q * high_hi
         out[t - 1] = (Enclosure(-low_hi, -low_lo), Enclosure(high_lo, high_hi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Spec documents and their mutations
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# One document per classic name.
+CLASSIC_DOCUMENTS = (
+    {"columns": {"kind": "classic", "name": "s-adic", "params": {"s": 3}}},
+    {"columns": {"kind": "classic", "name": "nega-s-adic", "params": {"s": 2}}},
+    {"columns": {"kind": "classic", "name": "cantor", "params": {"q": [2, 3]}}},
+    {"columns": {"kind": "classic", "name": "nega-cantor", "params": {"q": [3, 2]}}},
+    {"nb": {"kind": "even"},
+     "columns": {"kind": "classic", "name": "mixed", "params": {"s": 2}}},
+    {"columns": {"kind": "classic", "name": "example-a", "params": {}}},
+    {"columns": {"kind": "classic", "name": "example-b", "params": {}}},
+)
+
+# JSON values put in place of each value of a document: wrong types, values
+# out of range, and values that are right somewhere else in the schema.
+BAD_JSON_VALUES = (
+    None, True, False, 0, -1, 1, 2.5, 10**13, float("inf"),
+    "x", "", "1/0", "-1/2", [], [0], {}, {"kind": "odd"},
+)
+
+
+def spec_documents() -> list:
+    """Every preset, every golden spec and one document per classic name."""
+    paths = sorted(glob.glob(os.path.join(HERE, os.pardir, "presets", "*.json")))
+    paths += sorted(glob.glob(os.path.join(HERE, "golden", "specs", "*.json")))
+    docs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            docs.append(json.load(handle))
+    return docs + [copy.deepcopy(doc) for doc in CLASSIC_DOCUMENTS]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def spec_mutations(doc) -> list:
+    """JSON texts of doc with one change each: every value replaced by each
+    of BAD_JSON_VALUES, every object field deleted, and an extra field added
+    to every object."""
+    texts = []
+    for path in _paths(doc):
+        for bad in BAD_JSON_VALUES:
+            texts.append(json.dumps(_changed(doc, path, lambda _: copy.deepcopy(bad))))
+        if path and isinstance(_at(doc, path[:-1]), dict):
+            texts.append(json.dumps(_changed(doc, path, None)))
+        if isinstance(_at(doc, path), dict):
+            texts.append(json.dumps(_changed(doc, path, lambda obj: {**obj, "extra": 1})))
+    return texts
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _changed(doc, path, change):
+    """A copy of doc with the value at path replaced by change(value), or
+    deleted from its object when change is None."""
+    if not path:
+        return change(copy.deepcopy(doc))
+    doc = copy.deepcopy(doc)
+    parent = _at(doc, path[:-1])
+    if change is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = change(parent[path[-1]])
+    return doc

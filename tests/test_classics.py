@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from varsign import (
     DomainError,
     SignSet,
     cantor,
-    classic_by_name,
     example_a,
     example_b,
     eval_prefix,
@@ -17,10 +17,9 @@ from varsign import (
     mixed_sign,
     nega_cantor,
     nega_s_adic,
-    odd_sign_columns,
     oracle_eval,
+    parse_spec,
     s_adic,
-    uniform_column,
     word,
 )
 
@@ -59,7 +58,7 @@ def test_oracle_refuses_systems_without_closed_form():
     with pytest.raises(DomainError):
         oracle_eval(example_a(), (0,))
     with pytest.raises(DomainError):
-        oracle_eval(odd_sign_columns((uniform_column(2),)), (0,))
+        oracle_eval(example_b(), (0,))
 
 
 def test_oracle_matches_engine_spot_checks():
@@ -124,24 +123,26 @@ def test_example_systems_validate_deeply():
         assert report.condition3 == CERTIFIED
 
 
-def test_classic_by_name():
-    kind = classic_by_name("s-adic", {"s": 4})
-    assert kind == s_adic(4)
-    kind = classic_by_name("cantor", {"q": [2, 3]})
-    assert kind == cantor((2, 3))
-    kind = classic_by_name("mixed", {"s": 2}, SignSet.odd())
-    assert kind == mixed_sign(2, SignSet.odd())
-    assert classic_by_name("example-a", {}) == example_a()
+# Spec name -> (params, nb, the classic it names).
+SPEC_NAMES = {
+    "s-adic": ({"s": 4}, None, s_adic(4)),
+    "nega-s-adic": ({"s": 3}, None, nega_s_adic(3)),
+    "cantor": ({"q": [2, 3]}, None, cantor((2, 3))),
+    "nega-cantor": ({"q": [3, 2, 5]}, None, nega_cantor((3, 2, 5))),
+    "mixed": ({"s": 2}, {"kind": "odd"}, mixed_sign(2, SignSet.odd())),
+    "example-a": ({}, None, example_a()),
+    "example-b": ({}, None, example_b()),
+}
 
 
-def test_classic_by_name_rejects_bad_requests():
-    with pytest.raises(ConstructionError):
-        classic_by_name("base64", {})
-    with pytest.raises(ConstructionError):
-        classic_by_name("s-adic", {})
-    with pytest.raises(ConstructionError):
-        classic_by_name("s-adic", {"s": 2, "extra": 1})
-    with pytest.raises(ConstructionError):
-        classic_by_name("mixed", {"s": 2})
-    with pytest.raises(ConstructionError):
-        classic_by_name("s-adic", {"s": 2}, SignSet.odd())
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_spec_names_build_their_classics(name):
+    params, nb, kind = SPEC_NAMES[name]
+    doc = {"columns": {"kind": "classic", "name": name, "params": params}}
+    if nb is not None:
+        doc["nb"] = nb
+    parsed = parse_spec(json.dumps(doc))
+    built = make_classic(kind)
+    assert parsed.signs == built.signs
+    assert [parsed.column(n) for n in range(1, 9)] == \
+        [built.column(n) for n in range(1, 9)]

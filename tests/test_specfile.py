@@ -8,6 +8,8 @@ from varsign import SpecError, load_spec, parse_spec, value_range
 from varsign.cli import main
 from varsign.specfile import MAX_DIGITS
 
+from support import spec_documents, spec_mutations
+
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
 
@@ -223,6 +225,13 @@ def _nested_complements(depth: int) -> str:
 def test_nesting_past_the_recursion_limit_is_a_spec_error(tmp_path):
     shallow = parse_spec(_nested_complements(101))
     assert shallow.signs.contains(2) and not shallow.signs.contains(3)
+    for depth in range(900, 1001):
+        # Parsed or refused, never a RecursionError: the JSON decoder can
+        # nest a few levels deeper than the walk of its result.
+        try:
+            parse_spec(_nested_complements(depth))
+        except SpecError as err:
+            assert err.where == "$"
     text = _nested_complements(1200)
     with pytest.raises(SpecError) as err:
         parse_spec(text)
@@ -241,3 +250,17 @@ def test_overlong_integer_literal_is_a_spec_error(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(text)
     assert main(["range", "--spec", str(path)]) == 2
+
+
+def test_only_spec_errors_leave_parse_spec():
+    # One change at a time to every preset, golden spec and classic name:
+    # each document parses or is refused with a SpecError naming a place.
+    texts = [text for doc in spec_documents() for text in spec_mutations(doc)]
+    assert len(texts) > 3000
+    for text in texts:
+        try:
+            parse_spec(text)
+        except SpecError as exc:
+            assert exc.where, text
+        except Exception as exc:  # any other exception is the defect under test
+            pytest.fail(f"{type(exc).__name__}: {exc} from {text}")
