@@ -39,9 +39,11 @@ class ClassicKind:
 
 
 def _base(s) -> int:
-    if int(s) < 2:
+    if not isinstance(s, int):
+        raise ConstructionError(f"base must be an integer, got {s!r}")
+    if s < 2:
         raise ConstructionError("base must be >= 2")
-    return int(s)
+    return s
 
 
 def s_adic(s: int) -> ClassicKind:
@@ -55,9 +57,11 @@ def nega_s_adic(s: int) -> ClassicKind:
 
 
 def _check_bases(qs) -> tuple:
-    qs = tuple(int(q) for q in qs)
+    qs = tuple(qs)
     if not qs:
         raise ConstructionError("need at least one base")
+    if any(not isinstance(q, int) for q in qs):
+        raise ConstructionError(f"every base must be an integer, got {qs!r}")
     if any(q < 2 for q in qs):
         raise ConstructionError("every base must be >= 2")
     return qs

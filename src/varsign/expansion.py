@@ -55,10 +55,10 @@ class DigitWord:
     digits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(self.digits))
         for pos, d in enumerate(self.digits, 1):
             if not self.system.column(pos).digit_valid(d):
-                raise DomainError(f"digit {d} invalid at position {pos}")
+                raise DomainError(f"digit {d!r} invalid at position {pos}")
 
     def __len__(self):
         return len(self.digits)
@@ -72,18 +72,33 @@ def word(system: DigitSystem, digits) -> DigitWord:
 # Exact evaluation (two independent routes)
 
 
+def _over_common(x: Fraction, y: Fraction) -> tuple:
+    """(X, Y, c) with x = X/c and y = Y/c, without a gcd."""
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return x.numerator, y.numerator, xd
+    return x.numerator * yd, y.numerator * xd, xd * yd
+
+
 def prefix_walk(w: DigitWord) -> tuple:
     """(value, weight) of the word in one pass: the signed sum of digit
     weights times running entry products, and the product of the chosen
-    entries (1 for the empty word)."""
+    entries (1 for the empty word).
+
+    The walk carries integers over one unreduced denominator den: value is
+    num/den and weight is wnum/den. With a digit's weight and entry written
+    as a/c and q/c, a step makes num*c + sign*a*wnum, wnum*q and den*c, so
+    no step takes a gcd; both results are reduced once, on return.
+    """
     sys = w.system
-    total = ZERO
-    weight = ONE
+    num, wnum, den = 0, 1, 1
     for pos, d in enumerate(w.digits, 1):
         col = sys.column(pos)
-        total += sys.term_sign(pos) * col.weight(d) * weight
-        weight *= col.entry(d)
-    return total, weight
+        a, q, c = _over_common(col.weight(d), col.entry(d))
+        num = num * c + sys.term_sign(pos) * a * wnum
+        wnum *= q
+        den *= c
+    return Fraction(num, den), Fraction(wnum, den)
 
 
 def eval_prefix(w: DigitWord) -> Fraction:
@@ -92,12 +107,16 @@ def eval_prefix(w: DigitWord) -> Fraction:
 
 
 def prefix_weight(w: DigitWord) -> Fraction:
-    """Product of the chosen entries over the word (1 for the empty word)."""
+    """Product of the chosen entries over the word (1 for the empty word),
+    as the product of their numerators over the product of their
+    denominators, reduced once."""
     sys = w.system
-    weight = ONE
+    num = den = 1
     for pos, d in enumerate(w.digits, 1):
-        weight *= sys.column(pos).entry(d)
-    return weight
+        entry = sys.column(pos).entry(d)
+        num *= entry.numerator
+        den *= entry.denominator
+    return Fraction(num, den)
 
 
 def eval_signed_product(w: DigitWord) -> Fraction:
@@ -137,14 +156,6 @@ def _extremal(sys: DigitSystem, t: int) -> tuple:
         top = (col.weight(k), col.entry(k))
     bottom = (ZERO, col.entry(0))
     return (top, bottom) if sys.signs.contains(t) else (bottom, top)
-
-
-def _over_common(x: Fraction, y: Fraction) -> tuple:
-    """(X, Y, c) with x = X/c and y = Y/c, without a gcd."""
-    xd, yd = x.denominator, y.denominator
-    if xd == yd:
-        return x.numerator, y.numerator, xd
-    return x.numerator * yd, y.numerator * xd, xd * yd
 
 
 def _structure_period(sys: DigitSystem) -> tuple:

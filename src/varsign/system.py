@@ -262,6 +262,10 @@ class GeometricColumn:
     The constructor refuses a ratio outside (0, 1) and scale + ratio != 1,
     so the entries are positive and sum to 1. The mass from digit i on is
     ratio**i, which makes digit weights exact: weight(i) = 1 - ratio**i.
+    Each digit's pair (weight(i), entry(i)) is computed once, from one power
+    of the ratio, and kept in `_pairs`, a dict on the instance that is not a
+    dataclass field, so equality, hashing and `repr` ignore it. The digit is
+    checked before the lookup: 1.0 hashes like 1, and must still be refused.
     """
 
     scale: Fraction
@@ -275,6 +279,7 @@ class GeometricColumn:
             raise ConstructionError(f"column sum {scale / (1 - ratio)} != 1")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "_pairs", {})
 
     @property
     def is_infinite(self) -> bool:
@@ -287,15 +292,20 @@ class GeometricColumn:
     def digit_valid(self, i: int) -> bool:
         return isinstance(i, int) and i >= 0
 
-    def entry(self, i: int) -> Fraction:
+    def _pair(self, i: int) -> tuple:
         if not self.digit_valid(i):
             raise DomainError(f"digit must be >= 0, got {i!r}")
-        return self.scale * self.ratio**i
+        pair = self._pairs.get(i)
+        if pair is None:
+            power = self.ratio**i
+            pair = self._pairs[i] = (1 - power, self.scale * power)
+        return pair
+
+    def entry(self, i: int) -> Fraction:
+        return self._pair(i)[1]
 
     def weight(self, i: int) -> Fraction:
-        if not self.digit_valid(i):
-            raise DomainError(f"digit must be >= 0, got {i!r}")
-        return 1 - self.ratio**i
+        return self._pair(i)[0]
 
     @property
     def sup_entry(self) -> Fraction:
@@ -304,7 +314,7 @@ class GeometricColumn:
 
 def uniform_column(s: int) -> UniformColumn:
     """The column of s equal weights 1/s (digits 0..s-1)."""
-    return UniformColumn(int(s))
+    return UniformColumn(s)
 
 
 # ---------------------------------------------------------------------------

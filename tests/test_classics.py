@@ -37,6 +37,13 @@ def test_constructor_guards():
         cantor((2, 1))
     with pytest.raises(ConstructionError):
         mixed_sign(2, "odd")
+    # Bases are never rounded: s_adic(2.5) is not base 2.
+    for build, base in ((s_adic, 2.5), (s_adic, 3.0), (nega_s_adic, "7"),
+                        (cantor, [2.9, 3]), (nega_cantor, (2, "3"))):
+        with pytest.raises(ConstructionError, match="integer"):
+            build(base)
+    with pytest.raises(ConstructionError, match="integer"):
+        mixed_sign(Fraction(3), SignSet.odd())
 
 
 def test_oracle_frozen_values():

@@ -59,6 +59,10 @@ def test_word_checks_digits():
         word(sys, (3,))
     with pytest.raises(DomainError):
         word(sys, (-1,))
+    # Digits are never truncated: (1.7, 2.2) is not the word (1, 2).
+    for digits in ((1.7, 2.2), (1.0,), ("1",), (0, Fraction(1))):
+        with pytest.raises(DomainError, match="digit"):
+            word(sys, digits)
 
 
 def test_eval_prefix_ternary_value():
@@ -118,6 +122,36 @@ def test_prefix_walk_is_value_and_weight():
         sys = random_periodic_system(rng)
         w = word(sys, random_word_digits(rng, sys, rng.randint(0, 8)))
         assert prefix_walk(w) == (eval_prefix(w), prefix_weight(w))
+
+
+def test_integer_walk_matches_the_fraction_routes():
+    # prefix_walk and prefix_weight carry integers over one unreduced
+    # denominator; walk_prefix, eval_signed_product and a running product of
+    # entries use reduced Fractions throughout. Uniform columns of 4 and 6
+    # digits give weights that reduce (2/4 = 1/2) over entries that do not.
+    rng = random.Random(SEED + 14)
+    reducing = [
+        DigitSystem(SignSet.odd(), ListColumns((uniform_column(4),))),
+        DigitSystem(SignSet.every(),
+                    ListColumns((uniform_column(6), uniform_column(4)), "cycle")),
+    ]
+    for sys in _differential_systems(rng) + reducing:
+        assert prefix_walk(word(sys, ())) == (0, 1)
+        assert prefix_weight(word(sys, ())) == 1
+        ranks = {0, 1, 2, 300} | {rng.randint(3, 300) for _ in range(4)}
+        words = [random_word_digits(rng, sys, rank) for rank in sorted(ranks)]
+        if sys in reducing:
+            words.append((2,) * 40)
+        for digits in words:
+            w = word(sys, digits)
+            value, weight = prefix_walk(w)
+            assert type(value) is Fraction and type(weight) is Fraction
+            assert (value, weight) == walk_prefix(sys, digits)
+            assert value == eval_signed_product(w)
+            product = Fraction(1)
+            for pos, d in enumerate(digits, 1):
+                product *= sys.column(pos).entry(d)
+            assert prefix_weight(w) == weight == product
 
 
 def test_tail_bounds_do_not_depend_on_query_order():

@@ -9,6 +9,11 @@ place.  The check parses `src/varsign/*.py` and reports
   attribute this same module defines (on a class body or through `self`).
 
 Dunder names (`__init__`, `__all__`, ...) are not private.
+
+It also keeps the cross-check routes independent: `eval_signed_product`,
+`classics.oracle_eval` and `tests/support.walk_prefix` recompute word values
+with plain Fractions, so none of them may use the integer prefix walk they
+are compared with.
 """
 import ast
 import glob
@@ -92,3 +97,41 @@ def test_checker_allows_own_and_public_names():
         "        return self._KINDS, other._memo, type(self).__name__\n"
     )
     assert not violations(own)
+
+
+# (file, function) of each independent route, and the names of the prefix
+# walk it must not reach.
+INDEPENDENT_ROUTES = (
+    (os.path.join(SRC, "expansion.py"), "eval_signed_product"),
+    (os.path.join(SRC, "classics.py"), "oracle_eval"),
+    (os.path.join(HERE, "support.py"), "walk_prefix"),
+)
+WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds"}
+
+
+def walk_uses(source, function):
+    """Names of the prefix walk referenced in the body of `function`."""
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            used = set()
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name):
+                    used.add(inner.id)
+                elif isinstance(inner, ast.Attribute):
+                    used.add(inner.attr)
+            return used & WALK
+    raise LookupError(f"no top-level function {function}")
+
+
+def test_cross_check_routes_do_not_use_the_prefix_walk():
+    for path, function in INDEPENDENT_ROUTES:
+        with open(path, encoding="utf-8") as fh:
+            assert not walk_uses(fh.read(), function), (path, function)
+
+
+def test_route_checker_flags_the_walk():
+    assert walk_uses("def f(w):\n    return prefix_walk(w)[0]\n", "f")
+    assert walk_uses("def f(w):\n    return expansion.prefix_weight(w)\n", "f")
+    assert walk_uses("def f(x, y):\n    return _over_common(x, y)\n", "f")
+    assert not walk_uses("def f(w):\n    return walk_prefix(w)\n", "f")

@@ -268,7 +268,9 @@ def test_geometric_column_closed_forms():
 
 def test_geometric_column_matches_old_formulas():
     # The closed forms in the ratio against the general formulas
-    # tail(k) = scale * ratio**k / (1 - ratio) and weight(i) = tail(0) - tail(i).
+    # tail(k) = scale * ratio**k / (1 - ratio) and weight(i) = tail(0) - tail(i),
+    # asked twice: the second pass reads each digit's kept pair, which is
+    # invisible to equality, hashing and repr.
     rng = random.Random(SEED + 3)
     for _ in range(20):
         den = rng.randint(2, 10 ** 6)
@@ -279,17 +281,24 @@ def test_geometric_column_matches_old_formulas():
         def old_tail(k):
             return scale * ratio**k / (1 - ratio)
 
-        for i in range(61):
-            assert col.weight(i) == old_tail(0) - old_tail(i)
+        for _ in range(2):
+            for i in range(61):
+                assert col.weight(i) == old_tail(0) - old_tail(i)
+                assert col.entry(i) == scale * ratio**i
+        assert col.weight(60) is col.weight(60) and col.entry(7) is col.entry(7)
         assert col == fresh and hash(col) == hash(fresh)
         assert repr(col) == repr(fresh)
 
 
 def test_geometric_column_keeps_its_errors():
+    # 1.0 and Fraction(1) hash like digit 1, whose pair is kept by then: the
+    # digit is checked before the lookup.
     col = GeometricColumn(Fraction(1, 3), Fraction(2, 3))
-    for bad in (-1, 1.0, None):
-        with pytest.raises(DomainError, match="digit"):
-            col.weight(bad)
+    assert (col.weight(1), col.entry(1)) == (Fraction(1, 3), Fraction(2, 9))
+    for bad in (-1, 1.0, Fraction(1), "1", None):
+        for query in (col.weight, col.entry):
+            with pytest.raises(DomainError, match="digit"):
+                query(bad)
     for ratio in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ConstructionError, match="ratio"):
             GeometricColumn(1 - ratio, ratio)
@@ -337,9 +346,12 @@ def test_uniform_column_matches_finite_column_of_equal_entries():
 
 
 def test_uniform_column_refuses_fewer_than_two_digits():
-    for bad in (1, 0, -4, 2.0, "3"):
+    # uniform_column never rounds: 2.5 is not a column of 2 digits.
+    for bad in (1, 0, -4, 2.0, 2.5, "3"):
         with pytest.raises(ConstructionError):
             UniformColumn(bad)
+        with pytest.raises(ConstructionError):
+            uniform_column(bad)
 
 
 def test_largest_uniform_alphabets_are_symbolic():
