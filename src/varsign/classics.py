@@ -125,7 +125,7 @@ def make_classic(kind: ClassicKind) -> DigitSystem:
 
 def oracle_eval(kind: ClassicKind, digits) -> Fraction:
     """Closed-form value of a digit word, by direct power sums only."""
-    digits = tuple(int(d) for d in digits)
+    digits = tuple(digits)
     tag = kind.tag
 
     if tag in ("s_adic", "nega_s_adic", "mixed_sign"):
@@ -133,8 +133,8 @@ def oracle_eval(kind: ClassicKind, digits) -> Fraction:
         total = ZERO
         power = 1
         for n, d in enumerate(digits, 1):
-            if not 0 <= d < s:
-                raise DomainError(f"digit {d} invalid at position {n}")
+            if not (isinstance(d, int) and 0 <= d < s):
+                raise DomainError(f"digit {d!r} invalid at position {n}")
             power *= s
             if tag == "s_adic":
                 sign = 1
@@ -151,8 +151,8 @@ def oracle_eval(kind: ClassicKind, digits) -> Fraction:
         denom = 1
         for n, d in enumerate(digits, 1):
             base = qs[n - 1] if n <= len(qs) else qs[-1]
-            if not 0 <= d < base:
-                raise DomainError(f"digit {d} invalid at position {n}")
+            if not (isinstance(d, int) and 0 <= d < base):
+                raise DomainError(f"digit {d!r} invalid at position {n}")
             denom *= -base if tag == "nega_cantor" else base
             total += Fraction(d, denom)
         return total

@@ -11,11 +11,12 @@ the enclosures separate, so a verdict is never an artifact of truncation.
 For geometric columns both sides divide by entry(i), leaving a condition on
 the constant ratio alone: one representative pair decides the whole column.
 
-encode subdivides cylinders greedily: at each position it takes the smallest
-digit whose cylinder enclosure contains the target. A digit may be chosen
-whose cylinder only marginally contains the target; that is sound because the
-final residual enclosure is what certifies convergence. If no digit's
-enclosure contains the target the position is reported as a gap.
+encode runs the expansion map of the chosen cylinder (Renyi's T(x) = (x - d)/q,
+read for varying columns and signs): it carries r = (x - value)/weight and
+tolerance/weight, so the parent hull is the tail span [tl, th] and digit c's
+hull is sign*weight(c) + entry(c)*[tl, th]. It takes the smallest digit whose
+hull contains r (a gap if none does); the residual, read back once as
+prefix_weight(word)*(r - hull), certifies convergence.
 """
 from __future__ import annotations
 
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, RangeError
-from .numerics import Enclosure, ONE, ZERO
+from .numerics import Enclosure
 from .expansion import (
     DEFAULT_DEPTH,
     DigitWord,
     eval_enclosure,
+    prefix_weight,
     tail_bounds,
     word,
 )
@@ -143,64 +145,60 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
         raise RangeError(f"{x} outside the representable range [{lo0.lo}, {hi0.hi}]")
 
     digits = []
-    base = ZERO     # exact value of the chosen prefix
-    weight = ONE    # product of chosen entries
+    r, tol = x, tolerance   # (x - value) / weight and tolerance / weight
     hull = Enclosure(lo0.lo, hi0.hi)
 
+    def result(status, gap_position=None):
+        # x - hull, read back from weight * (r - hull) once, on return.
+        w = word(sys, digits)
+        residual = Enclosure(r - hull.hi, r - hull.lo).scale(prefix_weight(w))
+        return EncodeResult(w, residual, status, gap_position)
+
     for n in range(1, max_len + 1):
-        eff = _step_depth(depth, n)
-        lo_t, hi_t = tail_bounds(sys, n, eff)
+        lo_t, hi_t = tail_bounds(sys, n, _step_depth(depth, n))
+        tails = Enclosure(lo_t.lo, hi_t.hi)
         col = sys.column(n)
         sign = sys.term_sign(n)
         marked = sign < 0
         chosen = None
-        chosen_hull = None
 
         def hull_of(c):
-            child_base = base + sign * col.weight(c) * weight
-            w = weight * col.entry(c)
-            return Enclosure(child_base + w * lo_t.lo, child_base + w * hi_t.hi)
+            q, offset = col.entry(c), sign * col.weight(c)
+            return Enclosure(offset + q * tails.lo, offset + q * tails.hi)
 
-        # Digit hulls sweep toward one branch endpoint as the digit grows
-        # (upward at unmarked positions, downward at marked ones).  Over an
-        # infinite alphabet that endpoint is a limit no finite digit reaches.
-        limit_point = hull.lo if marked else hull.hi
-        if not (col.is_infinite and x == limit_point):
+        # Digit hulls sweep toward one end of the parent hull as the digit
+        # grows (upward at unmarked positions, downward at marked ones).
+        # Over an infinite alphabet that end is a limit no finite digit reaches.
+        if not (col.is_infinite and r == (hull.lo if marked else hull.hi)):
             c = 0
             while col.digit_valid(c):
                 candidate = hull_of(c)
-                if candidate.contains(x):
-                    chosen, chosen_hull = c, candidate
+                if candidate.contains(r):
+                    chosen = c
                     # On an exact shared boundary, prefer the neighbour digit:
                     # the receding endpoint of this hull may only be attained
-                    # in the limit, while the neighbour starts right on x.
+                    # in the limit, while the neighbour starts right on r.
                     receding = candidate.lo if marked else candidate.hi
-                    if x == receding and col.digit_valid(c + 1):
-                        neighbour = hull_of(c + 1)
-                        if neighbour.contains(x):
-                            chosen, chosen_hull = c + 1, neighbour
+                    if r == receding and col.digit_valid(c + 1) \
+                            and hull_of(c + 1).contains(r):
+                        chosen = c + 1
                     break
-                if col.is_infinite:
-                    # Digits above c stay beyond base +/- weight*(2*weight(c)
-                    # - 1); once that line passes x, none can contain it.
-                    reach = weight * (2 * col.weight(c) - 1)
-                    if (not marked and base + reach > x) or \
-                            (marked and base - reach < x):
-                        break
+                # Digits above c stay beyond sign * (2*weight(c) - 1); once
+                # that line passes r, none can contain it.
+                if col.is_infinite and 2 * col.weight(c) - 1 > sign * r:
+                    break
                 c += 1
         if chosen is None:
-            residual = Enclosure(x - hull.hi, x - hull.lo)
-            return EncodeResult(word(sys, digits), residual, "gap", n)
+            return result("gap", n)
         digits.append(chosen)
-        base += sign * col.weight(chosen) * weight
-        weight *= col.entry(chosen)
-        hull = chosen_hull
-        residual = Enclosure(x - hull.hi, x - hull.lo)
-        if residual.width <= tolerance:
-            return EncodeResult(word(sys, digits), residual, "converged")
+        entry = col.entry(chosen)
+        r = (r - sign * col.weight(chosen)) / entry
+        tol /= entry
+        hull = tails
+        if hull.width <= tol:
+            return result("converged")
 
-    residual = Enclosure(x - hull.hi, x - hull.lo)
-    return EncodeResult(word(sys, digits), residual, "max-depth-reached")
+    return result("max-depth-reached")
 
 
 def roundtrip_verify(sys: DigitSystem, x, result: EncodeResult,

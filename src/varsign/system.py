@@ -55,11 +55,12 @@ class SignSet:
     many positions `flips` toggled and the whole set optionally negated.
     Construct through the classmethods; membership is queried with
     `contains(n)`. The constructor refuses fields outside the normal form: a
-    period below 1, a residue outside [0, period), a negative start or a
-    flipped position below 1. `periodicity()` returns (preperiod, period)
-    such that membership(t) == membership(t + period) for all t > preperiod,
-    and the `has_*_beyond` queries take time proportional to the number of
-    flips, however large the listed positions or the period are.
+    field that is not an integer, a period below 1, a residue outside
+    [0, period), a negative start or a flipped position below 1.
+    `periodicity()` returns (preperiod, period) such that membership(t) ==
+    membership(t + period) for all t > preperiod, and the `has_*_beyond`
+    queries take time proportional to the number of flips, however large the
+    listed positions or the period are.
     """
 
     flips: frozenset = frozenset()
@@ -69,6 +70,9 @@ class SignSet:
     negated: bool = False
 
     def __post_init__(self):
+        fields = (self.start, self.period, *self.flips, *self.residues)
+        if not all(isinstance(v, int) for v in fields):
+            raise ConstructionError("sign-set positions and periods must be integers")
         if self.period < 1:
             raise ConstructionError("period must be >= 1")
         if any(not 0 <= r < self.period for r in self.residues):
@@ -96,14 +100,12 @@ class SignSet:
 
     @classmethod
     def from_list(cls, members) -> "SignSet":
-        return cls(flips=frozenset(int(m) for m in members))
+        return cls(flips=frozenset(members))
 
     @classmethod
     def residue_classes(cls, modulus, residues, start_k=0) -> "SignSet":
         """Positions of the form modulus*k + r with r in residues, k >= start_k."""
-        modulus = int(modulus)
-        start_k = int(start_k)
-        residues = frozenset(int(r) for r in residues)
+        residues = frozenset(residues)
         if modulus < 1:
             raise ConstructionError("modulus must be >= 1")
         if start_k < 0:

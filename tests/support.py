@@ -17,13 +17,18 @@ import os
 import random
 
 from varsign import (
+    DEFAULT_DEPTH,
     DigitSystem,
+    EncodeResult,
     Enclosure,
     FiniteColumn,
     GeometricColumn,
     ListColumns,
+    RangeError,
     SignSet,
+    tail_bounds,
     uniform_column,
+    word,
 )
 
 
@@ -275,6 +280,63 @@ def reference_tail_bounds(system: DigitSystem, depth: int) -> dict:
         high_lo, high_hi = a + q * high_lo, a + q * high_hi
         out[t - 1] = (Enclosure(-low_hi, -low_lo), Enclosure(high_lo, high_hi))
     return out
+
+
+def reference_encode(system: DigitSystem, x, tolerance, max_len: int = 64,
+                     depth: int = DEFAULT_DEPTH) -> EncodeResult:
+    """`encode` in absolute coordinates: the greedy smallest-digit loop over
+    plain Fraction prefix value `base` and weight, with each digit's hull
+    rebuilt as base + weight * (sign*weight(c) + entry(c) * tail).  An
+    independent route against which `encode` is tested."""
+    x, tolerance = Fraction(x), Fraction(tolerance)
+    lo0, hi0 = tail_bounds(system, 0, max(depth, 2))
+    if not lo0.lo <= x <= hi0.hi:
+        raise RangeError(f"{x} outside [{lo0.lo}, {hi0.hi}]")
+    digits = []
+    base, weight = Fraction(0), Fraction(1)
+    hull = Enclosure(lo0.lo, hi0.hi)
+
+    def result(status, gap_position=None):
+        residual = Enclosure(x - hull.hi, x - hull.lo)
+        return EncodeResult(word(system, digits), residual, status, gap_position)
+
+    for n in range(1, max_len + 1):
+        lo_t, hi_t = tail_bounds(system, n, max(depth, n + 2))
+        col = system.column(n)
+        marked = system.sign_exponent(n) == 1
+        sign = -1 if marked else 1
+
+        def hull_of(c):
+            child = base + sign * col.weight(c) * weight
+            w = weight * col.entry(c)
+            return Enclosure(child + w * lo_t.lo, child + w * hi_t.hi)
+
+        chosen = None
+        if not (col.is_infinite and x == (hull.lo if marked else hull.hi)):
+            c = 0
+            while col.digit_valid(c):
+                candidate = hull_of(c)
+                if candidate.contains(x):
+                    chosen = c
+                    receding = candidate.lo if marked else candidate.hi
+                    if x == receding and col.digit_valid(c + 1) \
+                            and hull_of(c + 1).contains(x):
+                        chosen = c + 1
+                    break
+                reach = weight * (2 * col.weight(c) - 1)
+                if col.is_infinite and (base - reach < x if marked
+                                        else base + reach > x):
+                    break
+                c += 1
+        if chosen is None:
+            return result("gap", n)
+        hull = hull_of(chosen)
+        digits.append(chosen)
+        base += sign * col.weight(chosen) * weight
+        weight *= col.entry(chosen)
+        if hull.width <= tolerance:
+            return result("converged")
+    return result("max-depth-reached")
 
 
 # ---------------------------------------------------------------------------

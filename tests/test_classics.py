@@ -59,6 +59,10 @@ def test_oracle_validates_digits():
         oracle_eval(s_adic(2), (2,))
     with pytest.raises(DomainError):
         oracle_eval(cantor((2, 3)), (0, 3))
+    with pytest.raises(DomainError):
+        oracle_eval(s_adic(3), [1.7, 2.2])
+    with pytest.raises(DomainError):
+        oracle_eval(nega_cantor((2, 3)), (1, 0.5))
 
 
 def test_oracle_refuses_systems_without_closed_form():

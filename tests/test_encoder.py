@@ -1,3 +1,6 @@
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -12,12 +15,17 @@ from varsign import (
     RangeError,
     RuleColumns,
     SignSet,
+    VarsignError,
     cantor,
+    cylinder,
+    cylinder_bounds,
     encode,
     eval_prefix,
+    load_spec,
     make_classic,
     nega_s_adic,
     oracle_eval,
+    parse_spec,
     roundtrip_verify,
     s_adic,
     theorem_check,
@@ -25,7 +33,12 @@ from varsign import (
     value_range,
 )
 
-from support import rational_between
+from support import (
+    random_word_digits,
+    rational_between,
+    reference_encode,
+    walk_prefix,
+)
 
 SEED = 0xe11c
 
@@ -204,3 +217,64 @@ def test_encode_wide_alphabets_roundtrip_against_oracle():
             assert roundtrip_verify(sys, x, result, 40)
             # the residual bounds x minus the word's exact value
             assert result.residual.contains(x - oracle_eval(kind, result.digits.digits))
+
+
+PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
+# One column (1/10, 9/10) whose top digit has the larger entry.
+UNSORTED_COLUMN_SPEC = json.dumps({
+    "nb": {"kind": "list", "members": [1]},
+    "columns": {"kind": "explicit", "list": [{"finite": ["1/10", "9/10"]}],
+                "extend": "repeat-last"}})
+# (tolerance, max_len) pairs: a short encode and a deep one.
+SETTINGS = ((TOL, 64), (Fraction(1, 2 ** 512), 256))
+
+
+def _outcome(encoder, system, x, tolerance, max_len):
+    try:
+        result = encoder(system, x, tolerance, max_len)
+    except VarsignError as exc:
+        return type(exc)
+    return (result.digits.digits, result.residual, result.status,
+            result.gap_position)
+
+
+def _differential_targets(rng, system, points=3, ranks=(3, 12)):
+    """Seeded interior points, exact word values and both ends of the words'
+    cylinders (shared hull boundaries, where the neighbour rule decides),
+    and one point above the range."""
+    lo, hi = value_range(system, 40)
+    targets = [rational_between(rng, lo.lo, hi.hi) for _ in range(points)]
+    for rank in ranks:
+        digits = random_word_digits(rng, system, rank)
+        targets.append(walk_prefix(system, digits)[0])
+        inf, sup = cylinder_bounds(cylinder(system, digits), 40)
+        targets += sorted({inf.lo, inf.hi, sup.lo, sup.hi})
+    return targets + [hi.hi + 1]
+
+
+def test_encode_matches_the_absolute_coordinate_reference():
+    rng = random.Random(SEED + 4)
+    systems = [load_spec(path)
+               for path in sorted(glob.glob(os.path.join(PRESETS, "*.json")))]
+    systems.append(parse_spec(UNSORTED_COLUMN_SPEC))
+    assert len(systems) == 8
+    geometric = DigitSystem(SignSet.none(), ListColumns(
+        (GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
+    cases = [(gap_system(), Fraction(-1, 12)), (geometric, Fraction(1))]
+    for system in systems:
+        cases += [(system, x) for x in _differential_targets(rng, system)]
+    # A deep encode scans about 256 digits per position here, so this wide
+    # alphabet gets fewer targets.
+    wide = make_classic(nega_s_adic(512))
+    cases += [(wide, x) for x in _differential_targets(rng, wide, 1, (3,))]
+    mismatches = []
+    statuses = set()
+    for system, x in cases:
+        for tolerance, max_len in SETTINGS:
+            ours = _outcome(encode, system, x, tolerance, max_len)
+            theirs = _outcome(reference_encode, system, x, tolerance, max_len)
+            if ours != theirs:
+                mismatches.append((system, x, tolerance, max_len))
+            statuses.add(ours if isinstance(ours, type) else ours[2])
+    assert not mismatches, mismatches[:3]
+    assert {"converged", "max-depth-reached", "gap", RangeError} <= statuses

@@ -11,9 +11,9 @@ place.  The check parses `src/varsign/*.py` and reports
 Dunder names (`__init__`, `__all__`, ...) are not private.
 
 It also keeps the cross-check routes independent: `eval_signed_product`,
-`classics.oracle_eval` and `tests/support.walk_prefix` recompute word values
-with plain Fractions, so none of them may use the integer prefix walk they
-are compared with.
+`classics.oracle_eval` and `tests/support.walk_prefix` recompute word values,
+and `tests/support.reference_encode` encodes, with plain Fractions, so none
+of them may use the integer prefix walk they are compared with.
 """
 import ast
 import glob
@@ -105,6 +105,7 @@ INDEPENDENT_ROUTES = (
     (os.path.join(SRC, "expansion.py"), "eval_signed_product"),
     (os.path.join(SRC, "classics.py"), "oracle_eval"),
     (os.path.join(HERE, "support.py"), "walk_prefix"),
+    (os.path.join(HERE, "support.py"), "reference_encode"),
 )
 WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds"}
 

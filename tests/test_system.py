@@ -91,6 +91,15 @@ def test_sign_set_refuses_fields_outside_normal_form(fields):
         dataclasses.replace(SignSet.odd(), **fields)
 
 
+def test_sign_set_refuses_positions_that_are_not_integers():
+    with pytest.raises(ConstructionError):
+        SignSet.from_list([1.5, 2.9])
+    with pytest.raises(ConstructionError):
+        SignSet.residue_classes(3.7, (1.2,), 0.5)
+    with pytest.raises(ConstructionError):
+        SignSet(period=2.0, residues=frozenset({1}))
+
+
 def test_sign_set_normal_form_edges_still_construct():
     assert SignSet(period=3, residues=frozenset({0, 2}), start=0).contains(3)
     assert not SignSet(period=5).has_members_beyond(0)
