@@ -25,9 +25,17 @@ system is served from one canonical table at depth pre + period. A system
 whose seed is inexact, or a query shallower than pre + period, keeps one
 table per (system, depth).
 
-This module is the only one that seeds, recurses or caches tails; the rest
-of the package reads them through `tail_bounds`. The cache is keyed weakly
-on the system, so it never keeps a system alive.
+The prefix walk and the tail recursion read one step table per system: per
+position the term sign, the column, a digit memo of the column's (weight,
+entry) pairs and the two extremal pairs, built lazily only as far as a word
+or a tail reaches, and shared by phase past pre + period when the columns
+are periodic.
+
+This module is the only one that seeds, recurses or caches tails, and the
+only one that builds or reads step tables; the rest of the package reads
+them through `prefix_walk`, `prefix_weight` and `tail_bounds`. Both caches
+live in one record per system, keyed weakly, so they never keep a system
+alive.
 """
 from __future__ import annotations
 
@@ -35,6 +43,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 
 from .errors import DomainError, ParameterError
 from .numerics import Enclosure, ONE, ZERO
@@ -73,11 +82,19 @@ def word(system: DigitSystem, digits) -> DigitWord:
 
 
 def _over_common(x: Fraction, y: Fraction) -> tuple:
-    """(X, Y, c) with x = X/c and y = Y/c, without a gcd."""
+    """(X, Y, c) with x = X/c and y = Y/c over their least common
+    denominator c."""
     xd, yd = x.denominator, y.denominator
     if xd == yd:
         return x.numerator, y.numerator, xd
-    return x.numerator * yd, y.numerator * xd, xd * yd
+    c = math.lcm(xd, yd)
+    return x.numerator * (c // xd), y.numerator * (c // yd), c
+
+
+def _digit(col, memo: dict, d: int) -> tuple:
+    """Digit d's (weight, entry) over a common denominator, kept in memo."""
+    triple = memo[d] = _over_common(col.weight(d), col.entry(d))
+    return triple
 
 
 def prefix_walk(w: DigitWord) -> tuple:
@@ -88,14 +105,13 @@ def prefix_walk(w: DigitWord) -> tuple:
     The walk carries integers over one unreduced denominator den: value is
     num/den and weight is wnum/den. With a digit's weight and entry written
     as a/c and q/c, a step makes num*c + sign*a*wnum, wnum*q and den*c, so
-    no step takes a gcd; both results are reduced once, on return.
+    no step takes a gcd; both results are reduced once, on return. Signs,
+    columns and (a, q, c) are read from the system's step table.
     """
-    sys = w.system
     num, wnum, den = 0, 1, 1
-    for pos, d in enumerate(w.digits, 1):
-        col = sys.column(pos)
-        a, q, c = _over_common(col.weight(d), col.entry(d))
-        num = num * c + sys.term_sign(pos) * a * wnum
+    for (sign, col, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+        a, q, c = memo.get(d) or _digit(col, memo, d)
+        num = num * c + sign * a * wnum
         wnum *= q
         den *= c
     return Fraction(num, den), Fraction(wnum, den)
@@ -108,14 +124,13 @@ def eval_prefix(w: DigitWord) -> Fraction:
 
 def prefix_weight(w: DigitWord) -> Fraction:
     """Product of the chosen entries over the word (1 for the empty word),
-    as the product of their numerators over the product of their
-    denominators, reduced once."""
-    sys = w.system
+    carried as entry numerators over one unreduced denominator and reduced
+    once, from the same step table as `prefix_walk`."""
     num = den = 1
-    for pos, d in enumerate(w.digits, 1):
-        entry = sys.column(pos).entry(d)
-        num *= entry.numerator
-        den *= entry.denominator
+    for (_, col, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+        _, q, c = memo.get(d) or _digit(col, memo, d)
+        num *= q
+        den *= c
     return Fraction(num, den)
 
 
@@ -141,23 +156,6 @@ def eval_signed_product(w: DigitWord) -> Fraction:
 # Tail enclosures
 
 
-def _extremal(sys: DigitSystem, t: int) -> tuple:
-    """The (weight, entry) pairs of the digits driving the series to its
-    infimum and to its supremum at position t, as (low, high).
-
-    The top digit (limit (1, 0) for infinite columns) drives the low side on
-    marked positions and the high side elsewhere; digit 0 drives the other.
-    """
-    col = sys.column(t)
-    if col.is_infinite:
-        top = (ONE, ZERO)
-    else:
-        k = col.top_digit
-        top = (col.weight(k), col.entry(k))
-    bottom = (ZERO, col.entry(0))
-    return (top, bottom) if sys.signs.contains(t) else (bottom, top)
-
-
 def _structure_period(sys: DigitSystem) -> tuple:
     """(pre, period) of columns and sign set together: both repeat with
     period past position pre. A provider without periodicity (rule columns)
@@ -165,6 +163,99 @@ def _structure_period(sys: DigitSystem) -> tuple:
     col_pre, col_period = sys.columns.periodicity() or (0, 1)
     sign_pre, sign_period = sys.signs.periodicity()
     return max(col_pre, sign_pre), math.lcm(col_period, sign_period)
+
+
+class _SystemRecord:
+    """What this module caches for one system: its step table and its tail
+    tables.
+
+    The step table `steps` holds one record per position 1..len(steps):
+    (term sign, column, digit memo, low, high), where the memo maps a digit
+    to the (a, q, c) of its weight a/c and entry q/c and is shared by every
+    position of the same column, and low and high are the (a, q, c) of the
+    digits driving the series to its infimum and to its supremum there
+    (see `_step`). It is a tuple, replaced by a longer one as walks and
+    tails reach further, so a reader's snapshot never changes and
+    concurrent extensions cannot misalign positions. With periodic columns
+    (`shared`), positions past pre + period read the record of their phase,
+    and the table stops there; rule columns get one record per position.
+
+    The tail tables are {depth: {position: (lo, hi)}}, with the (pre,
+    period) of the structure and whether the seed at depth pre + period is
+    exact: None until a query at that depth or deeper decides it. Positions
+    are filled from a table's depth downward, so a table's last key is its
+    lowest position; every write stores the one exact value of its key, so
+    concurrent callers cannot corrupt a table.
+    """
+
+    __slots__ = ("steps", "memos", "shared", "tables", "pre", "period", "exact")
+
+    def __init__(self, sys: DigitSystem):
+        self.steps = ()
+        self.memos = {}
+        self.shared = sys.columns.periodicity() is not None
+        self.tables = {}
+        self.pre, self.period = _structure_period(sys)
+        self.exact = None
+
+
+# system -> _SystemRecord, weakly keyed so that the tables live exactly as
+# long as their system.
+_RECORDS = weakref.WeakKeyDictionary()
+
+
+def _record(sys: DigitSystem) -> _SystemRecord:
+    rec = _RECORDS.get(sys)
+    if rec is None:
+        rec = _RECORDS[sys] = _SystemRecord(sys)
+    return rec
+
+
+# The limit (weight, entry) = (1, 0) of an infinite column's digits.
+_LIMIT = (1, 0, 1)
+
+
+def _step(sys: DigitSystem, memos: dict, t: int) -> tuple:
+    """The step record of position t (see `_SystemRecord`).
+
+    The top digit (the limit for infinite columns) drives the low side on
+    marked positions and the high side elsewhere; digit 0 drives the other.
+    """
+    col = sys.column(t)
+    # Keyed by identity and holding the column, so the key cannot be reused.
+    kept = memos.get(id(col))
+    if kept is None:
+        kept = memos[id(col)] = (col, {})
+    memo = kept[1]
+    bottom = memo.get(0) or _digit(col, memo, 0)
+    if col.is_infinite:
+        top = _LIMIT
+    else:
+        top = memo.get(col.top_digit) or _digit(col, memo, col.top_digit)
+    if sys.signs.contains(t):
+        return -1, col, memo, top, bottom
+    return 1, col, memo, bottom, top
+
+
+def _steps(sys: DigitSystem, last: int, first: int = 1) -> tuple:
+    """The step records of positions first..last, in order. Records are
+    built only up to position last, so a rule column is first asked for a
+    position when a walk or a tail reaches it."""
+    rec = _record(sys)
+    known = rec.steps
+    end = min(last, rec.pre + rec.period) if rec.shared else last
+    if len(known) < end:
+        memos = rec.memos
+        known += tuple(_step(sys, memos, t) for t in range(len(known) + 1, end + 1))
+        if len(known) > len(rec.steps):
+            rec.steps = known
+    if last <= len(known):
+        return known[first - 1:last]
+    # Past pre + period, position t reads phase pre + (t - pre - 1) % period.
+    start = max(first, end + 1)
+    phase = (start - rec.pre - 1) % rec.period
+    repeats = islice(cycle(known[rec.pre:]), phase, phase + last - start + 1)
+    return known[first - 1:] + tuple(repeats)
 
 
 def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
@@ -192,46 +283,20 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
         return Enclosure.point(1)
 
     if periodic is not None:
-        pre, period = _structure_period(sys)
-        if depth >= pre:
+        rec = _record(sys)
+        if depth >= rec.pre:
             # partial/den and running/den over one period, den unreduced.
             partial, running, den = 0, 1, 1
-            for t in range(depth + 1, depth + period + 1):
-                a, q, c = _over_common(*_extremal(sys, t)[0 if low else 1])
+            for step in _steps(sys, depth + rec.period, depth + 1):
+                a, q, c = step[3 if low else 4]
                 partial = partial * c + running * a
                 running *= q
                 den *= c
             if running < den:
                 # R = partial + running * R over one period.
                 return Enclosure.point(Fraction(partial, den - running))
-            if partial == 0:
-                return Enclosure.point(0)
 
     return Enclosure(ZERO, ONE)
-
-
-class _SystemTails:
-    """The tail tables of one system, {depth: {position: (lo, hi)}}, with
-    the (pre, period) of its structure and whether its seed at depth
-    pre + period is exact: None until a query at that depth or deeper
-    decides it.
-
-    Positions are filled from a table's depth downward, so a table's last
-    key is its lowest position; every write stores the one exact value of
-    its key, so concurrent callers cannot corrupt a table.
-    """
-
-    __slots__ = ("tables", "pre", "period", "exact")
-
-    def __init__(self, sys: DigitSystem):
-        self.tables = {}
-        self.pre, self.period = _structure_period(sys)
-        self.exact = None
-
-
-# system -> _SystemTails, weakly keyed so that the tables live exactly as
-# long as their system.
-_TAILS = weakref.WeakKeyDictionary()
 
 
 def _seeded_table(sys: DigitSystem, depth: int) -> dict:
@@ -262,22 +327,20 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
         raise ParameterError(f"position must be >= 0, got {n!r}")
     if not isinstance(depth, int) or depth <= n:
         raise ParameterError(f"tail depth must exceed position {n}, got {depth!r}")
-    tails = _TAILS.get(sys)
-    if tails is None:
-        tails = _TAILS[sys] = _SystemTails(sys)
-    tables = tails.tables
-    canonical = tails.pre + tails.period
+    rec = _record(sys)
+    tables = rec.tables
+    canonical = rec.pre + rec.period
     if depth >= canonical:
-        if tails.exact is None:
+        if rec.exact is None:
             # Decided once, by a query that pays for pre + period steps.
             table = _seeded_table(sys, canonical)
             lo, hi = table[canonical]
-            tails.exact = lo.is_point and hi.is_point
-            if tails.exact:
+            rec.exact = lo.is_point and hi.is_point
+            if rec.exact:
                 tables.setdefault(canonical, table)
-        if tails.exact:
-            if n >= tails.pre:
-                n = tails.pre + (n - tails.pre) % tails.period
+        if rec.exact:
+            if n >= rec.pre:
+                n = rec.pre + (n - rec.pre) % rec.period
             depth = canonical
     table = tables.get(depth)
     if table is None:
@@ -291,27 +354,27 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     # q~ = Q/c, num/den becomes (A*den + Q*num)/(c*den). Only the stored
     # entries are reduced. The limit pair (1, 0) of an infinite column drops
     # the carried tail, so its side restarts at the point -1 or 1 over 1.
-    lowest = next(reversed(table))
-    lo, hi = table[lowest]
+    t = next(reversed(table))
+    lo, hi = table[t]
     lo_a, lo_b, lo_den = _over_common(lo.lo, lo.hi)
     hi_a, hi_b, hi_den = _over_common(hi.lo, hi.hi)
-    for t in range(lowest, n, -1):
-        low, high = _extremal(sys, t)
-        a, q, c = _over_common(*low)
+    for _, _, _, low, high in reversed(_steps(sys, t, n + 1)):
+        a, q, c = low
         if q:
             lo_a, lo_b = q * lo_a - a * lo_den, q * lo_b - a * lo_den
             lo_den *= c
         else:
             lo_a = lo_b = -a
             lo_den = c
-        a, q, c = _over_common(*high)
+        a, q, c = high
         if q:
             hi_a, hi_b = a * hi_den + q * hi_a, a * hi_den + q * hi_b
             hi_den *= c
         else:
             hi_a = hi_b = a
             hi_den = c
-        table[t - 1] = (_reduced(lo_a, lo_b, lo_den), _reduced(hi_a, hi_b, hi_den))
+        t -= 1
+        table[t] = (_reduced(lo_a, lo_b, lo_den), _reduced(hi_a, hi_b, hi_den))
     return table[n]
 
 

@@ -34,9 +34,6 @@ from .numerics import ONE, ZERO
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# Threshold for the numeric branch of the shrinking-product certificate.
-PRODUCT_THRESHOLD = Fraction(1, 2**64)
-
 
 # ---------------------------------------------------------------------------
 # Sign sets
@@ -106,6 +103,8 @@ class SignSet:
     def residue_classes(cls, modulus, residues, start_k=0) -> "SignSet":
         """Positions of the form modulus*k + r with r in residues, k >= start_k."""
         residues = frozenset(residues)
+        if not all(isinstance(v, int) for v in (modulus, start_k, *residues)):
+            raise ConstructionError("modulus, residues and start index must be integers")
         if modulus < 1:
             raise ConstructionError("modulus must be >= 1")
         if start_k < 0:
@@ -416,7 +415,8 @@ class DigitSystem:
     """A sign set plus a column provider; immutable once constructed.
 
     All accessors are pure and the system holds no cache of its own; tail
-    enclosures are cached by the expansion module.
+    enclosures and the per-position step table are cached by the expansion
+    module.
     """
 
     def __init__(self, signs: SignSet, columns):
@@ -447,24 +447,23 @@ class DigitSystem:
         return -1 if (prev + self.sign_exponent(n)) % 2 else 1
 
     def validate(self, depth: int) -> ValidationReport:
-        """The shrinking-product certificate over the columns up to `depth`.
+        """The shrinking-product certificate, with the product of
+        sup-entries over the columns up to `depth`.
 
         Columns are valid by construction, so building them here is the
         only column check: a rule whose column at some position <= depth is
-        invalid raises its `ConstructionError`. The product of sup-entries
-        over those columns certifies the vanishing-product condition when it
-        reaches the numeric threshold or when the provider carries a
-        structural certificate; the condition is never reported as violated,
-        only as not yet certified.
+        invalid raises its `ConstructionError`. The vanishing-product
+        condition is certified from the provider's structure alone
+        (`claims_vanishing_product`): no finite product, however small,
+        proves that the infinite one vanishes. The condition is never
+        reported as violated, only as not certified.
         """
         if not isinstance(depth, int) or depth < 1:
             raise ParameterError(f"validation depth must be >= 1, got {depth!r}")
         product = ONE
         for n in range(1, depth + 1):
             product *= self.column(n).sup_entry
-        certified = (
-            product <= PRODUCT_THRESHOLD or self.columns.claims_vanishing_product()
-        )
+        certified = self.columns.claims_vanishing_product()
         return ValidationReport(
             depth=depth,
             condition3=CERTIFIED if certified else INCONCLUSIVE,

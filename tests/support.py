@@ -26,10 +26,26 @@ from varsign import (
     ListColumns,
     RangeError,
     SignSet,
+    load_spec,
     tail_bounds,
     uniform_column,
     word,
 )
+
+
+PRESETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "presets")
+# One column (1/10, 9/10) whose top digit has the larger entry.
+UNSORTED_COLUMN_SPEC = json.dumps({
+    "nb": {"kind": "list", "members": [1]},
+    "columns": {"kind": "explicit", "list": [{"finite": ["1/10", "9/10"]}],
+                "extend": "repeat-last"}})
+
+
+def preset_systems() -> list:
+    """The systems of presets/*.json, sorted by file name."""
+    return [load_spec(path)
+            for path in sorted(glob.glob(os.path.join(PRESETS, "*.json")))]
 
 
 def random_column(rng: random.Random, max_digits: int = 4) -> FiniteColumn:

@@ -1,6 +1,3 @@
-import glob
-import json
-import os
 import random
 from fractions import Fraction
 
@@ -21,7 +18,6 @@ from varsign import (
     cylinder_bounds,
     encode,
     eval_prefix,
-    load_spec,
     make_classic,
     nega_s_adic,
     oracle_eval,
@@ -34,6 +30,8 @@ from varsign import (
 )
 
 from support import (
+    UNSORTED_COLUMN_SPEC,
+    preset_systems,
     random_word_digits,
     rational_between,
     reference_encode,
@@ -219,12 +217,6 @@ def test_encode_wide_alphabets_roundtrip_against_oracle():
             assert result.residual.contains(x - oracle_eval(kind, result.digits.digits))
 
 
-PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
-# One column (1/10, 9/10) whose top digit has the larger entry.
-UNSORTED_COLUMN_SPEC = json.dumps({
-    "nb": {"kind": "list", "members": [1]},
-    "columns": {"kind": "explicit", "list": [{"finite": ["1/10", "9/10"]}],
-                "extend": "repeat-last"}})
 # (tolerance, max_len) pairs: a short encode and a deep one.
 SETTINGS = ((TOL, 64), (Fraction(1, 2 ** 512), 256))
 
@@ -254,9 +246,7 @@ def _differential_targets(rng, system, points=3, ranks=(3, 12)):
 
 def test_encode_matches_the_absolute_coordinate_reference():
     rng = random.Random(SEED + 4)
-    systems = [load_spec(path)
-               for path in sorted(glob.glob(os.path.join(PRESETS, "*.json")))]
-    systems.append(parse_spec(UNSORTED_COLUMN_SPEC))
+    systems = preset_systems() + [parse_spec(UNSORTED_COLUMN_SPEC)]
     assert len(systems) == 8
     geometric = DigitSystem(SignSet.none(), ListColumns(
         (GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))

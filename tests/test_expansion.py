@@ -1,13 +1,16 @@
 import gc
 import os
 import random
+import threading
 import weakref
 from fractions import Fraction
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 from hypothesis import given, strategies as st
 
 from varsign import (
+    ConstructionError,
     DigitSystem,
     DomainError,
     FiniteColumn,
@@ -25,6 +28,7 @@ from varsign import (
     load_spec,
     make_classic,
     nega_s_adic,
+    parse_spec,
     prefix_walk,
     prefix_weight,
     s_adic,
@@ -35,10 +39,12 @@ from varsign import (
 )
 
 from varsign import expansion
-from varsign.expansion import _extremal, _structure_period, _tail_seed
+from varsign.expansion import _structure_period, _tail_seed
 from support import (
+    UNSORTED_COLUMN_SPEC,
     build_signs,
     extension_values,
+    preset_systems,
     random_any_column,
     random_finite_system,
     random_periodic_system,
@@ -231,6 +237,13 @@ def test_tail_width_bounded_by_entry_product():
         assert hi.width <= cap
 
 
+def _extremal(sys, t):
+    """The (weight, entry) pairs of the step table's low and high sides at
+    position t, as Fractions."""
+    low, high = expansion._steps(sys, t)[t - 1][3:]
+    return tuple((Fraction(a, c), Fraction(q, c)) for a, q, c in (low, high))
+
+
 def test_extremal_pairs():
     col = FiniteColumn((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     sys = DigitSystem(SignSet.from_list([1]), ListColumns((col, uniform_column(2))))
@@ -321,6 +334,123 @@ def test_seed_branch_repeats_past_the_preperiod():
                 assert seeds[period:] == seeds[:-period]
 
 
+def _step_table_systems():
+    """The presets, the unsorted column, a geometric column walked with
+    digits up to 64, a 512-digit alphabet, and a listed sign at 10^18 (a
+    preperiod no walk or tail reaches)."""
+    geometric = DigitSystem(SignSet.odd(), ListColumns(
+        (GeometricColumn(Fraction(1, 3), Fraction(2, 3)),)))
+    far = DigitSystem(SignSet.from_list([10 ** 18]), ListColumns((uniform_column(3),)))
+    systems = preset_systems() + [parse_spec(UNSORTED_COLUMN_SPEC), geometric,
+                                  make_classic(nega_s_adic(512)), far]
+    assert any(isinstance(sys.columns, RuleColumns) for sys in systems)
+    return systems
+
+
+def _table_digits(rng, sys, length):
+    return tuple(rng.randint(0, 64) if sys.column(n).is_infinite
+                 else rng.randint(0, sys.column(n).top_digit)
+                 for n in range(1, length + 1))
+
+
+def test_step_table_matches_the_fraction_routes():
+    # Words and tails past pre + period, where positions share the record of
+    # their phase, each asked of a cold copy of the system (an empty step
+    # table) and then, in shuffled order, of one warm copy.
+    rng = random.Random(SEED + 15)
+    for sys in _step_table_systems():
+        pre, period = _structure_period(sys)
+        reach = min(pre + period, 120)
+        lengths = (0, 1, reach, reach + 1, reach + 2 * period + 3, reach + 90)
+        words = [_table_digits(rng, sys, n) for n in lengths]
+        depths = (reach + 1, reach + 2 * period + 5, reach + 91)
+        expected = {depth: reference_tail_bounds(sys, depth) for depth in depths}
+        warm = DigitSystem(sys.signs, sys.columns)
+        for copy in range(3):
+            jobs = [("walk", digits) for digits in words]
+            jobs += [("tail", depth) for depth in depths]
+            rng.shuffle(jobs)
+            for kind, arg in jobs:
+                target = warm if copy else DigitSystem(sys.signs, sys.columns)
+                if kind == "walk":
+                    value, weight = walk_prefix(sys, arg)
+                    w = word(target, arg)
+                    assert prefix_walk(w) == (value, weight), len(arg)
+                    assert prefix_weight(w) == weight, len(arg)
+                else:
+                    positions = list(range(arg))
+                    rng.shuffle(positions)
+                    for n in positions:
+                        assert tail_bounds(target, n, arg) == expected[arg][n], (n, arg)
+        # Periodic columns stop the table at pre + period; other tables reach
+        # the longest word, or the deepest tail when it is not exact. Each
+        # column has one digit memo, whatever the number of its positions.
+        steps = expansion._RECORDS[warm].steps
+        if sys.columns.periodicity() is not None and pre + period <= reach:
+            assert len(steps) == pre + period
+        else:
+            assert reach + 90 <= len(steps) <= reach + 91
+        assert len({id(step[2]) for step in steps}) == len({id(step[1]) for step in steps})
+
+
+def test_step_table_survives_concurrent_extension():
+    # Four threads walk and query tails on one cold system with a tiny
+    # switch interval, each extending the table a few positions per word,
+    # so that their extensions interleave.
+    rng = random.Random(SEED + 16)
+    base = make_classic(example_b())
+    words = [random_word_digits(rng, base, n) for n in range(1, 160, 3)]
+    expected = [walk_prefix(base, digits) for digits in words]
+    tails = reference_tail_bounds(base, 170)
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = DigitSystem(base.signs, base.columns)
+            wrong = []
+
+            def run(order):
+                for i in order:
+                    if prefix_walk(word(shared, words[i])) != expected[i]:
+                        wrong.append(i)
+                    if tail_bounds(shared, i, 170) != tails[i]:
+                        wrong.append(-i)
+
+            threads = [threading.Thread(target=run, args=(range(len(words)),))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert not wrong
+    finally:
+        setswitchinterval(interval)
+
+
+def test_step_table_reaches_a_rule_column_only_when_asked():
+    # The rule raises from position 30 on: words shorter than that and tails
+    # at depth below it never ask for the column; a tail at depth 30 does.
+    def rule(n):
+        if n >= 30:
+            raise ConstructionError(f"no column at {n}")
+        return uniform_column(3)
+
+    for vanishing in (False, True):
+        sys = DigitSystem(SignSet.odd(), RuleColumns(rule, vanishing))
+        for depth in range(1, 30):
+            for n in range(depth):
+                tail_bounds(sys, n, depth)
+        for length in range(30):
+            w = word(sys, [2] * length)
+            assert prefix_walk(w) == walk_prefix(sys, w.digits)
+            assert prefix_weight(w) == Fraction(1, 3 ** length)
+        with pytest.raises(ConstructionError, match="position 30|at 30"):
+            tail_bounds(sys, 0, 30)
+        # The failed extension left the table as it was.
+        assert tail_bounds(sys, 5, 29) == reference_tail_bounds(sys, 29)[5]
+
+
 @pytest.mark.parametrize("signs", [
     SignSet.from_list([50]),
     SignSet.residue_classes(10 ** 12, (0,)),
@@ -332,7 +462,7 @@ def test_shallow_queries_keep_per_depth_tables(signs):
     expected = reference_tail_bounds(sys, 40)
     for n in reversed(range(40)):
         assert tail_bounds(sys, n, 40) == expected[n]
-    tails = expansion._TAILS[sys]
+    tails = expansion._RECORDS[sys]
     assert tails.pre + tails.period > 40 and tails.exact is None
     assert list(tails.tables) == [40]
     assert len(tails.tables[40]) <= 41
@@ -344,7 +474,7 @@ def test_exact_queries_share_one_canonical_table():
         expected = reference_tail_bounds(sys, depth)
         for n in (0, 1, 39, depth - 1):
             assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
-    tails = expansion._TAILS[sys]
+    tails = expansion._RECORDS[sys]
     assert (tails.pre, tails.period, tails.exact) == (50, 1, True)
     assert sorted(tails.tables) == [40, 51]
     assert len(tails.tables[51]) <= 52
@@ -357,7 +487,7 @@ def test_deep_encode_keeps_one_tail_table():
     x = eval_prefix(word(sys, [rng.randrange(2) for _ in range(150)]))
     result = encode(sys, x, Fraction(1, 2 ** 512), max_len=256)
     assert len(result.digits) == 256
-    tables = expansion._TAILS[sys].tables
+    tables = expansion._RECORDS[sys].tables
     assert len(tables) == 1
     assert sum(len(table) for table in tables.values()) == 3
 

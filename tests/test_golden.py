@@ -151,6 +151,11 @@ TAIL_ARGS = {
 for _spec, _args in TAIL_ARGS.items():
     for _command, _argv in _args.items():
         CASES[f"{_command}-{_spec}"] = (_command, _spec, _argv)
+# Seventy halving columns, then singleton columns forever: the sup-entry
+# product up to depth 80 is 2^-70, but it never vanishes, so condition 3 is
+# not certified.
+CASES["validate-singleton-after-halves"] = (
+    "validate", "singleton-after-halves", ["--depth", "80"])
 
 
 # help case name -> arguments

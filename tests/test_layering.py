@@ -13,7 +13,8 @@ Dunder names (`__init__`, `__all__`, ...) are not private.
 It also keeps the cross-check routes independent: `eval_signed_product`,
 `classics.oracle_eval` and `tests/support.walk_prefix` recompute word values,
 and `tests/support.reference_encode` encodes, with plain Fractions, so none
-of them may use the integer prefix walk they are compared with.
+of them may use the integer prefix walk they are compared with, nor the
+per-system step table it reads.
 """
 import ast
 import glob
@@ -100,14 +101,15 @@ def test_checker_allows_own_and_public_names():
 
 
 # (file, function) of each independent route, and the names of the prefix
-# walk it must not reach.
+# walk and its step table that it must not reach.
 INDEPENDENT_ROUTES = (
     (os.path.join(SRC, "expansion.py"), "eval_signed_product"),
     (os.path.join(SRC, "classics.py"), "oracle_eval"),
     (os.path.join(HERE, "support.py"), "walk_prefix"),
     (os.path.join(HERE, "support.py"), "reference_encode"),
 )
-WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds"}
+WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds",
+        "_steps", "_step", "_digit", "_record", "_RECORDS"}
 
 
 def walk_uses(source, function):
@@ -135,4 +137,5 @@ def test_route_checker_flags_the_walk():
     assert walk_uses("def f(w):\n    return prefix_walk(w)[0]\n", "f")
     assert walk_uses("def f(w):\n    return expansion.prefix_weight(w)\n", "f")
     assert walk_uses("def f(x, y):\n    return _over_common(x, y)\n", "f")
+    assert walk_uses("def f(s, n):\n    return expansion._steps(s, n)\n", "f")
     assert not walk_uses("def f(w):\n    return walk_prefix(w)\n", "f")

@@ -100,6 +100,20 @@ def test_sign_set_refuses_positions_that_are_not_integers():
         SignSet(period=2.0, residues=frozenset({1}))
 
 
+@pytest.mark.parametrize("args", [
+    (4, (1,), "2"),
+    (4, ("1",)),
+    ("4", (1,)),
+    (None, (1,)),
+    (4, (1,), None),
+    (4, (None,)),
+])
+def test_residue_classes_checks_types_before_comparing(args):
+    # Comparing these with integers would raise a bare TypeError.
+    with pytest.raises(ConstructionError, match="integers"):
+        SignSet.residue_classes(*args)
+
+
 def test_sign_set_normal_form_edges_still_construct():
     assert SignSet(period=3, residues=frozenset({0, 2}), start=0).contains(3)
     assert not SignSet(period=5).has_members_beyond(0)
@@ -467,7 +481,9 @@ def test_rule_column_invalid_past_the_checked_depth_raises():
         eval_prefix(word(sys, [1] * 49 + [5]))
 
 
-def test_condition3_certified_by_threshold():
+def test_condition3_certified_by_provider_claim_at_depth_64():
+    # The product 2^-64 certifies nothing by itself; the provider's claim
+    # (one period's sup-entry product is 1/2) does.
     sys = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
     report = sys.validate(64)
     assert report.condition3 == CERTIFIED
@@ -479,6 +495,19 @@ def test_condition3_certified_by_provider_claim():
     sys = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
     report = sys.validate(4)
     assert report.condition3 == CERTIFIED
+
+
+def test_condition3_small_product_without_structure_is_inconclusive():
+    # Seventy halving columns, then singletons forever: the product up to
+    # depth 80 is 2^-70 and stays there, so it never vanishes.
+    cols = ListColumns((uniform_column(2),) * 70 + (FiniteColumn((Fraction(1),)),))
+    report = DigitSystem(SignSet.none(), cols).validate(80)
+    assert report.condition3_product == Fraction(1, 2 ** 70)
+    assert report.condition3 == INCONCLUSIVE
+    rule = RuleColumns(lambda n: uniform_column(2))
+    report = DigitSystem(SignSet.none(), rule).validate(100)
+    assert report.condition3_product == Fraction(1, 2 ** 100)
+    assert report.condition3 == INCONCLUSIVE
 
 
 def test_condition3_inconclusive_without_structure():
