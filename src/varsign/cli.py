@@ -24,7 +24,7 @@ import click
 from .cylinders import cylinder, cylinder_bounds, metric_ratio, placement
 from .encoder import encode, theorem_check
 from .errors import SpecError, VarsignError
-from .expansion import DEFAULT_DEPTH, value_range, word, word_bounds
+from .expansion import DEFAULT_DEPTH, read_depth, value_range, word, word_bounds
 from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 
@@ -143,7 +143,7 @@ def range_cmd(system, depth):
 def eval_cmd(system, depth, digits):
     """Evaluate a digit word: exact prefix value plus a value enclosure."""
     w = word(system, _parse_digits(digits))
-    use_depth = max(depth, len(w) + 2)
+    use_depth = read_depth(depth, len(w))
     value, inf, sup = word_bounds(w, use_depth)
     return {
         "depth": use_depth,
@@ -189,7 +189,8 @@ def encode_cmd(system, depth, target, tol, max_len):
 def cylinder_cmd(system, depth, base, table_limit):
     """Report cylinder endpoints, length, and child length ratios."""
     cyl = cylinder(system, _parse_digits(base))
-    use_depth = max(depth, cyl.rank + 3)
+    # metric_ratio reads the child position rank + 1.
+    use_depth = read_depth(depth, cyl.rank + 1)
     inf_enc, sup_enc = cylinder_bounds(cyl, use_depth)
     col = system.column(cyl.rank + 1)
     ratios = []
@@ -216,7 +217,7 @@ def cylinder_cmd(system, depth, base, table_limit):
 def placement_cmd(system, depth, base, digit):
     """Compare the cylinders of consecutive digits at one position."""
     prefix = _parse_digits(base, allow_empty=True)
-    use_depth = max(depth, len(prefix) + 3)
+    use_depth = read_depth(depth, len(prefix) + 1)
     rep = placement(system, prefix, digit, use_depth)
     return {
         "position": rep.position,
@@ -239,7 +240,7 @@ def placement_cmd(system, depth, base, digit):
               help="Check adjacent pairs at positions 1..rank.")
 def theorem_cmd(system, depth, rank):
     """Check the interval-filling condition on adjacent digit pairs."""
-    verdict = theorem_check(system, rank, tail_depth=max(depth, rank + 2))
+    verdict = theorem_check(system, rank, tail_depth=read_depth(depth, rank))
     return {
         "rank": verdict.depth,
         "overall": verdict.overall,

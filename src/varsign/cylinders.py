@@ -9,7 +9,7 @@ is an Enclosure built from the public `word_bounds`, `prefix_weight` and
 Placement compares the cylinders of adjacent digits c and c+1 at the first
 free position. kappa1 is (sup of the c-cylinder) - (inf of the (c+1)-cylinder)
 and kappa2 the reverse difference; nu1/nu2 are their negations. On a marked
-position (sign exponent 1) the digits run right-to-left and kappa1 is
+position (`signs.contains`) the digits run right-to-left and kappa1 is
 strictly positive; on an unmarked one they run left-to-right and kappa2 is
 strictly positive. The other difference - the applicable kappa - decides
 whether the two cylinders overlap in an interval, touch in one point, or
@@ -36,14 +36,15 @@ from .system import DigitSystem
 class Cylinder:
     """A nonempty base word naming the set of its continuations."""
 
-    system: DigitSystem
     base: DigitWord
 
     def __post_init__(self):
-        if self.base.system is not self.system:
-            raise ConstructionError("base word bound to a different system")
         if len(self.base) < 1:
             raise ConstructionError("cylinder rank must be >= 1")
+
+    @property
+    def system(self) -> DigitSystem:
+        return self.base.system
 
     @property
     def rank(self) -> int:
@@ -51,7 +52,7 @@ class Cylinder:
 
 
 def cylinder(system: DigitSystem, digits) -> Cylinder:
-    return Cylinder(system, word(system, digits))
+    return Cylinder(word(system, digits))
 
 
 def cylinder_bounds(cyl: Cylinder, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -140,7 +141,7 @@ def placement(system: DigitSystem, base, digit: int,
     omega2 = lo.neg()
     q_c = col.entry(digit)
     q_next = col.entry(digit + 1)
-    marked = system.sign_exponent(n) == 1
+    marked = system.signs.contains(n)
 
     # kappa1 = sup(c) - inf(c+1): leading term +q_c on marked positions,
     # -q_c otherwise; kappa2 swaps both the leading sign and the tails.

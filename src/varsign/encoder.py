@@ -16,7 +16,9 @@ read for varying columns and signs): it carries r = (x - value)/weight and
 tolerance/weight, so the parent hull is the tail span [tl, th] and digit c's
 hull is sign*weight(c) + entry(c)*[tl, th]. It takes the smallest digit whose
 hull contains r (a gap if none does); the residual, read back once as
-prefix_weight(word)*(r - hull), certifies convergence.
+prefix_weight(word)*(r - hull), certifies convergence. The sign of position n
+is `signs.contains(n)`, and its tails are read at `read_depth(depth, n)`, the
+depth at which `roundtrip_verify` and the CLI `eval` read the finished word.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .expansion import (
     DigitWord,
     eval_enclosure,
     prefix_weight,
+    read_depth,
     tail_bounds,
     word,
 )
@@ -123,11 +126,6 @@ class EncodeResult:
     gap_position: "int | None" = None
 
 
-def _step_depth(depth: int, n: int) -> int:
-    # Keep the tail precondition depth > n satisfiable past the nominal depth.
-    return max(depth, n + 2)
-
-
 def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
            depth: int = DEFAULT_DEPTH) -> EncodeResult:
     """Greedy smallest-digit encoding of x with a certified residual."""
@@ -140,7 +138,7 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
     if not isinstance(depth, int) or depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth!r}")
 
-    lo0, hi0 = tail_bounds(sys, 0, _step_depth(depth, 0))
+    lo0, hi0 = tail_bounds(sys, 0, read_depth(depth, 0))
     if not (lo0.lo <= x <= hi0.hi):
         raise RangeError(f"{x} outside the representable range [{lo0.lo}, {hi0.hi}]")
 
@@ -155,11 +153,11 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
         return EncodeResult(w, residual, status, gap_position)
 
     for n in range(1, max_len + 1):
-        lo_t, hi_t = tail_bounds(sys, n, _step_depth(depth, n))
+        lo_t, hi_t = tail_bounds(sys, n, read_depth(depth, n))
         tails = Enclosure(lo_t.lo, hi_t.hi)
         col = sys.column(n)
-        sign = sys.term_sign(n)
-        marked = sign < 0
+        marked = sys.signs.contains(n)
+        sign = -1 if marked else 1
         chosen = None
 
         def hull_of(c):
@@ -205,5 +203,5 @@ def roundtrip_verify(sys: DigitSystem, x, result: EncodeResult,
                      depth: int = DEFAULT_DEPTH) -> bool:
     """True when the enclosure of the encoded word still contains x."""
     x = Fraction(x)
-    eff = _step_depth(depth, len(result.digits))
+    eff = read_depth(depth, len(result.digits))
     return eval_enclosure(result.digits, eff).contains(x)

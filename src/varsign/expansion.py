@@ -3,18 +3,20 @@
 A digit word d_1..d_n picks one digit per position. Its exact partial value
 is
 
-    sum_k  term_sign(k) * weight(d_k, k) * product_{j<k} entry(d_j, j)
+    sum_k  sign(k) * weight(d_k, k) * product_{j<k} entry(d_j, j)
 
-and the values of all infinite continuations fill a closed interval around
-it. The continuation interval is certified by two nonnegative tail sums, one
-per direction, built from the extremal (weight, entry) pairs: the tail at
-position n sums a~_t * prod q~ over t > n. Tails are computed by the backward
-recursion R(t) = a~_t + q~_t * R(t+1) from a seed enclosure past the
-truncation depth; the seed is [0, 1] in general (giving the telescoping
-remainder bound, width <= prod of extremal entries) and an exact point when
-the structure beyond the depth is fully known (no contributing positions,
-all-singleton columns, all-contributing with a vanishing product, or an
-eventually periodic pattern solved by its fixed point).
+with sign(k) = -1 on the marked positions (`signs.contains(k)`) and +1
+elsewhere, and the values of all infinite continuations fill a closed
+interval around it. The continuation interval is certified by two
+nonnegative tail sums, one per direction, built from the extremal (weight,
+entry) pairs: the tail at position n sums a~_t * prod q~ over t > n. Tails
+are computed by the backward recursion R(t) = a~_t + q~_t * R(t+1) from a
+seed enclosure past the truncation depth; the seed is [0, 1] in general
+(giving the telescoping remainder bound, width <= prod of extremal entries)
+and an exact point when the structure beyond the depth is fully known (no
+contributing positions, all-singleton columns, all-contributing with a
+vanishing product, or an eventually periodic pattern solved by its fixed
+point).
 
 When the seed is exact, the tails do not depend on the truncation depth at
 all: past the preperiod pre of the eventually periodic structure (columns
@@ -33,9 +35,9 @@ are periodic.
 
 This module is the only one that seeds, recurses or caches tails, and the
 only one that builds or reads step tables; the rest of the package reads
-them through `prefix_walk`, `prefix_weight` and `tail_bounds`. Both caches
-live in one record per system, keyed weakly, so they never keep a system
-alive.
+them through `prefix_walk`, `prefix_weight` and `tail_bounds`, and reads the
+tails at position n at the depth `read_depth` gives. Both caches live in
+one record per system, keyed weakly, so they never keep a system alive.
 """
 from __future__ import annotations
 
@@ -136,13 +138,17 @@ def prefix_weight(w: DigitWord) -> Fraction:
 
 def eval_signed_product(w: DigitWord) -> Fraction:
     """Same value by the signed-column route: per-entry signed sums times
-    signed running products. Must agree with eval_prefix exactly; the two
-    routes share no sign logic."""
+    signed running products, the column sign -1 where the marking changes
+    from position n-1 (0 is unmarked) to n. Must agree with eval_prefix
+    exactly; the two routes share no sign logic."""
     sys = w.system
     total = ZERO
     signed_weight = ONE
+    marked_before = False
     for pos, d in enumerate(w.digits, 1):
-        cs = sys.column_sign(pos)
+        marked = sys.signs.contains(pos)
+        cs = -1 if marked != marked_before else 1
+        marked_before = marked
         col = sys.column(pos)
         step = ZERO
         for i in range(d):
@@ -292,9 +298,9 @@ def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
                 partial = partial * c + running * a
                 running *= q
                 den *= c
-            if running < den:
-                # R = partial + running * R over one period.
-                return Enclosure.point(Fraction(partial, den - running))
+            # R = partial + running * R over one period; running < den, as one
+            # period of singleton columns returned by the all-singleton branch.
+            return Enclosure.point(Fraction(partial, den - running))
 
     return Enclosure(ZERO, ONE)
 
@@ -382,6 +388,12 @@ def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:
     """Enclosure [num_lo/den, num_hi/den], each endpoint reduced once."""
     lo = Fraction(num_lo, den)
     return Enclosure(lo, lo if num_lo == num_hi else Fraction(num_hi, den))
+
+
+def read_depth(depth: int, n: int) -> int:
+    """The tail depth for reading position n: depth, raised so that the
+    tails at n and at n + 1 both meet `tail_bounds`' depth > position."""
+    return max(depth, n + 2)
 
 
 def value_range(sys: DigitSystem, depth: int = DEFAULT_DEPTH) -> tuple:

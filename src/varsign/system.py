@@ -2,9 +2,11 @@
 
 A system assigns to every position n >= 1 a column of positive rational
 weights summing to 1 (finite, or infinite geometric), and marks a subset of
-positions as negative. Position n contributes with sign (-1)^sign_exponent(n)
-where the exponent is 1 on marked positions and 2 elsewhere; the exponent of
-the virtual position 0 is 0, which fixes the alternating column signs.
+positions as negative; `signs.contains(n)` is the only sign query. Position n
+contributes with sign (-1)^e(n), where the exponent e(n) is 1 on marked
+positions and 2 elsewhere; the exponent of the virtual position 0 is 0, which
+fixes the column signs (-1)^(e(n-1) + e(n)), -1 exactly where the marking
+changes from position n-1 to n. The column signs telescope to the term signs.
 
 Columns are valid by construction: each constructor refuses parameters that
 would give an entry <= 0 or a sum other than 1 with a `ConstructionError`, so
@@ -430,21 +432,6 @@ class DigitSystem:
 
     def column(self, n: int):
         return self.columns.column(n)
-
-    def sign_exponent(self, n: int) -> int:
-        """Exponent of (-1) at position n: 1 on marked positions, else 2."""
-        return 1 if self.signs.contains(n) else 2
-
-    def term_sign(self, n: int) -> int:
-        """(-1)**sign_exponent(n)."""
-        return -1 if self.signs.contains(n) else 1
-
-    def column_sign(self, n: int) -> int:
-        """(-1)**(sign_exponent(n-1) + sign_exponent(n)) with exponent 0 at
-        the virtual position 0; the product of column signs telescopes to the
-        term sign."""
-        prev = 0 if n == 1 else self.sign_exponent(n - 1)
-        return -1 if (prev + self.sign_exponent(n)) % 2 else 1
 
     def validate(self, depth: int) -> ValidationReport:
         """The shrinking-product certificate, with the product of

@@ -205,7 +205,7 @@ def walk_prefix(system: DigitSystem, digits) -> tuple:
     weight = Fraction(1)
     for n, d in enumerate(digits, 1):
         col = system.column(n)
-        sign = -1 if system.sign_exponent(n) == 1 else 1
+        sign = -1 if system.signs.contains(n) else 1
         value += sign * col.weight(d) * weight
         weight *= col.entry(d)
     return value, weight
@@ -222,7 +222,7 @@ def extension_values(system: DigitSystem, base, total_length: int) -> list:
             out.append(value)
             return
         col = system.column(n)
-        sign = -1 if system.sign_exponent(n) == 1 else 1
+        sign = -1 if system.signs.contains(n) else 1
         for i in range(col.top_digit + 1):
             rec(n + 1, value + sign * col.weight(i) * weight,
                 weight * col.entry(i))
@@ -319,7 +319,7 @@ def reference_encode(system: DigitSystem, x, tolerance, max_len: int = 64,
     for n in range(1, max_len + 1):
         lo_t, hi_t = tail_bounds(system, n, max(depth, n + 2))
         col = system.column(n)
-        marked = system.sign_exponent(n) == 1
+        marked = system.signs.contains(n)
         sign = -1 if marked else 1
 
         def hull_of(c):

@@ -195,7 +195,7 @@ def test_criterion_5_placement_sign_laws():
         digit = rng.randint(0, col.top_digit - 1)
         report = placement(system, base, digit, depth)
 
-        if system.sign_exponent(n) == 1:
+        if system.signs.contains(n):
             assert report.kappa1.lo > 0
             applicable = report.kappa2
         else:

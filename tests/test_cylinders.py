@@ -7,6 +7,7 @@ from varsign import (
     ConstructionError,
     DigitSystem,
     DomainError,
+    Enclosure,
     FiniteColumn,
     ListColumns,
     SignSet,
@@ -16,12 +17,21 @@ from varsign import (
     make_classic,
     metric_ratio,
     nega_s_adic,
+    parse_spec,
     placement,
     s_adic,
+    theorem_check,
     uniform_column,
 )
+from varsign.encoder import FAILS, HOLDS
 
-from support import extension_values, random_finite_system
+from support import (
+    UNSORTED_COLUMN_SPEC,
+    extension_values,
+    preset_systems,
+    random_finite_system,
+    random_word_digits,
+)
 
 SEED = 0xc71
 
@@ -50,6 +60,8 @@ def test_rank_one_cylinders_of_gap_system():
 
 def test_cylinder_requires_digits():
     sys = make_classic(s_adic(2))
+    cyl = cylinder(sys, (1, 0))
+    assert cyl.system is sys and cyl.base.digits == (1, 0) and cyl.rank == 2
     with pytest.raises(ConstructionError):
         cylinder(sys, ())
     with pytest.raises(DomainError):
@@ -157,13 +169,55 @@ def test_placement_normalized_bounds():
         col = sys.column(n)
         digit = rng.randint(0, col.top_digit - 1)
         rep = placement(sys, base, digit, 8)
-        applicable = rep.kappa2 if sys.sign_exponent(n) == 1 else rep.kappa1
+        applicable = rep.kappa2 if sys.signs.contains(n) else rep.kappa1
         weight = Fraction(1)
         for k, d in enumerate(base, 1):
             weight *= sys.column(k).entry(d)
         scaled = applicable.scale(1 / weight) if weight != 1 else applicable
         assert -col.entry(digit) <= scaled.lo
         assert scaled.hi <= col.entry(digit + 1)
+
+
+def test_applicable_kappa_from_zero_with_width_is_undecided():
+    # Applicable kappa [0, h] with h > 0: the cylinders may touch in one
+    # point or overlap in an interval, so placement may claim neither.
+    cols = ListColumns((FiniteColumn((Fraction(2, 7), Fraction(3, 7), Fraction(2, 7))),
+                        FiniteColumn((Fraction(1, 2), Fraction(1, 2)))), "repeat-last")
+    sys = DigitSystem(SignSet.from_list([4, 57]), cols)
+    rep = placement(sys, (), 0, 5)
+    assert rep.orientation == "left-to-right"
+    assert rep.kappa1 == Enclosure(Fraction(0), Fraction(5, 112))
+    assert rep.overlap_class == "undecided"
+    assert rep.overlap_or_gap_measure == rep.kappa2.hull(Enclosure.point(0))
+    # The covering inequality is not strict, so no gap is certain here.
+    check = theorem_check(sys, 1, 5).checks[0]
+    assert (check.position, check.digit, check.status) == (1, 0, HOLDS)
+
+
+def test_placement_and_theorem_check_agree_at_every_pair():
+    # Both read the covering inequality of pair (i, i+1) at position n from
+    # the tails at n: theorem_check's sides differ by the applicable kappa
+    # divided by the base weight, so `holds` means lo >= 0 and `fails`
+    # means hi < 0. A geometric column's one check stands for every pair.
+    rng = random.Random(SEED + 3)
+    systems = preset_systems() + [parse_spec(UNSORTED_COLUMN_SPEC)]
+    systems += [random_finite_system(rng, support=6) for _ in range(16)]
+    rank, depth = 8, 12
+    orientations, statuses = set(), set()
+    for sys in systems:
+        for check in theorem_check(sys, rank, depth).checks:
+            n = check.position
+            digits = range(4) if check.covers_column else (check.digit,)
+            for digit in digits:
+                base = random_word_digits(rng, sys, n - 1)
+                rep = placement(sys, base, digit, depth)
+                applicable = rep.kappa2 if sys.signs.contains(n) else rep.kappa1
+                assert (check.status == HOLDS) == (applicable.lo >= 0), (sys, n, digit)
+                assert (check.status == FAILS) == (applicable.hi < 0), (sys, n, digit)
+                orientations.add(rep.orientation)
+                statuses.add(check.status)
+    assert orientations == {"left-to-right", "right-to-left"}
+    assert {HOLDS, FAILS} <= statuses
 
 
 def test_placement_requires_valid_pair():

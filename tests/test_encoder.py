@@ -1,3 +1,6 @@
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -17,10 +20,13 @@ from varsign import (
     cylinder,
     cylinder_bounds,
     encode,
+    eval_enclosure,
     eval_prefix,
+    load_spec,
     make_classic,
     nega_s_adic,
     oracle_eval,
+    parse_enclosure,
     parse_spec,
     roundtrip_verify,
     s_adic,
@@ -28,8 +34,11 @@ from varsign import (
     uniform_column,
     value_range,
 )
+from varsign.cli import main
+from varsign.expansion import read_depth
 
 from support import (
+    PRESETS,
     UNSORTED_COLUMN_SPEC,
     preset_systems,
     random_word_digits,
@@ -268,3 +277,36 @@ def test_encode_matches_the_absolute_coordinate_reference():
             statuses.add(ours if isinstance(ours, type) else ours[2])
     assert not mismatches, mismatches[:3]
     assert {"converged", "max-depth-reached", "gap", RangeError} <= statuses
+
+
+def test_encode_and_eval_read_the_same_depth(capsys):
+    # encode reads the tails at n at read_depth(depth, n), so its residual is
+    # x minus the word's enclosure at that depth, which is also the depth and
+    # the enclosure that the CLI eval prints for the encoded word.
+    rng = random.Random(SEED + 6)
+    past_depth = set()
+    for path in sorted(glob.glob(os.path.join(PRESETS, "*.json"))):
+        system = load_spec(path)
+        lo, hi = value_range(system, 40)
+        for depth, max_len in ((40, 24), (6, 16)):
+            targets = [rational_between(rng, lo.lo, hi.hi)]
+            targets += [walk_prefix(system, random_word_digits(rng, system, 3))[0]
+                        for _ in range(2)]
+            for x in targets:
+                for tolerance in (Fraction(1, 2 ** 40), Fraction(1, 2 ** 8)):
+                    result = encode(system, x, tolerance, max_len, depth)
+                    if result.status == "gap":
+                        continue
+                    digits = result.digits.digits
+                    use = read_depth(depth, len(digits))
+                    enclosure = eval_enclosure(result.digits, use)
+                    assert result.residual == enclosure.neg().shift(x)
+                    code = main(["eval", "--spec", path, "--depth", str(depth),
+                                 "--digits", ",".join(map(str, digits)),
+                                 "--format", "machine"])
+                    doc = json.loads(capsys.readouterr().out)
+                    assert code == 0 and doc["depth"] == use
+                    assert parse_enclosure(doc["enclosure"]) == enclosure
+                    if len(digits) > depth:
+                        past_depth.add(os.path.basename(path))
+    assert len(past_depth) == 7

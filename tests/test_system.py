@@ -19,6 +19,7 @@ from varsign import (
     SignSet,
     UniformColumn,
     eval_prefix,
+    eval_signed_product,
     make_classic,
     parse_spec,
     s_adic,
@@ -439,14 +440,21 @@ def test_rule_columns_memoize_and_stay_modest():
 
 def test_sign_laws():
     sys = DigitSystem(SignSet.odd(), ListColumns((uniform_column(2),)))
-    assert sys.sign_exponent(1) == 1 and sys.sign_exponent(2) == 2
-    assert sys.term_sign(1) == -1 and sys.term_sign(2) == 1
-    # column sign at n compares position n with n-1 (exponent 0 at rank 0)
-    assert sys.column_sign(1) == -1
-    assert sys.column_sign(2) == -1
-    assert sys.column_sign(3) == -1
+    assert sys.signs.contains(1) and not sys.signs.contains(2)
+    # eval_signed_product's column sign at n is -1 where the marking of n
+    # differs from n-1 (position 0 unmarked); its products telescope to the
+    # term sign, so a lone digit 1 at position n reads sign(n) / 2^n.
+    for n, value in ((1, Fraction(-1, 2)), (2, Fraction(1, 4)), (3, Fraction(-1, 8))):
+        assert eval_signed_product(word(sys, (0,) * (n - 1) + (1,))) == value
+    # Positions 2 and 3 marked: column signs +, -, +, - at positions 1..4.
+    pair = DigitSystem(SignSet.from_list([2, 3]), ListColumns((uniform_column(2),)))
+    assert [pair.signs.contains(n) for n in range(1, 5)] == [False, True, True, False]
+    for n, value in ((1, Fraction(1, 2)), (2, Fraction(-1, 4)),
+                     (3, Fraction(-1, 8)), (4, Fraction(1, 16))):
+        assert eval_signed_product(word(pair, (0,) * (n - 1) + (1,))) == value
     flat = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
-    assert flat.column_sign(1) == 1 and flat.column_sign(2) == 1
+    assert not flat.signs.contains(1) and not flat.signs.contains(2)
+    assert eval_signed_product(word(flat, (1, 1))) == Fraction(3, 4)
 
 
 def test_validate_flags_bad_columns():
