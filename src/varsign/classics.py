@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
-from .numerics import ZERO, rat
+from .numerics import rat
 from .system import (
     DigitSystem,
     GeometricColumn,
@@ -124,38 +124,40 @@ def make_classic(kind: ClassicKind) -> DigitSystem:
 
 
 def oracle_eval(kind: ClassicKind, digits) -> Fraction:
-    """Closed-form value of a digit word, by direct power sums only."""
+    """Closed-form value of a digit word, by direct power sums only.
+
+    Each sum is read by Horner's rule: with value num / (b_1 * ... * b_n),
+    position n + 1 makes num * b_{n+1} + sign * d over b_1 * ... * b_{n+1},
+    where b is the base (negated on every position for nega-Cantor), so the
+    result is reduced once, on return."""
     digits = tuple(digits)
     tag = kind.tag
 
     if tag in ("s_adic", "nega_s_adic", "mixed_sign"):
         s = kind.qs[0]
-        total = ZERO
-        power = 1
+        num = 0
         for n, d in enumerate(digits, 1):
             if not (isinstance(d, int) and 0 <= d < s):
                 raise DomainError(f"digit {d!r} invalid at position {n}")
-            power *= s
             if tag == "s_adic":
                 sign = 1
             elif tag == "nega_s_adic":
                 sign = -1 if n % 2 else 1
             else:
                 sign = -1 if kind.signs.contains(n) else 1
-            total += Fraction(sign * d, power)
-        return total
+            num = num * s + sign * d
+        return Fraction(num, s ** len(digits))
 
     if tag in ("cantor", "nega_cantor"):
         qs = kind.qs
-        total = ZERO
-        denom = 1
+        num, den = 0, 1
         for n, d in enumerate(digits, 1):
             base = qs[n - 1] if n <= len(qs) else qs[-1]
             if not (isinstance(d, int) and 0 <= d < base):
                 raise DomainError(f"digit {d!r} invalid at position {n}")
-            denom *= -base if tag == "nega_cantor" else base
-            total += Fraction(d, denom)
-        return total
+            b = -base if tag == "nega_cantor" else base
+            num = num * b + d
+            den *= b
+        return Fraction(num, den)
 
     raise DomainError(f"no independent closed form for {tag!r}")
-

@@ -19,6 +19,16 @@ hull contains r (a gap if none does); the residual, read back once as
 prefix_weight(word)*(r - hull), certifies convergence. The sign of position n
 is `signs.contains(n)`, and its tails are read at `read_depth(depth, n)`, the
 depth at which `roundtrip_verify` and the CLI `eval` read the finished word.
+
+The next digit depends only on the state (phase, r), where the phase
+(`tail_phase`) names what repeats with the system's structure: column, sign
+and tails. So on a periodic system with exact tails, a rational target's
+digits are eventually periodic (Renyi; Schmidt for Pisot bases), and once a
+state repeats encode stops stepping. It copies the cycle's digits forward,
+and finds the first position that passes the stop test from the cycle alone:
+a whole cycle multiplies tol by one factor, 1 / the product of the cycle's
+entries, and leaves r and the hull as they were. The result is the one the
+step loop would reach.
 """
 from __future__ import annotations
 
@@ -34,6 +44,7 @@ from .expansion import (
     prefix_weight,
     read_depth,
     tail_bounds,
+    tail_phase,
     word,
 )
 from .system import DigitSystem
@@ -145,6 +156,8 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
     digits = []
     r, tol = x, tolerance   # (x - value) / weight and tolerance / weight
     hull = Enclosure(lo0.lo, hi0.hi)
+    seen = {}       # (phase, r) before a position -> (that position, tol)
+    trail = []      # (r, tol, hull) after each position
 
     def result(status, gap_position=None):
         # x - hull, read back from weight * (r - hull) once, on return.
@@ -153,6 +166,17 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
         return EncodeResult(w, residual, status, gap_position)
 
     for n in range(1, max_len + 1):
+        phase = tail_phase(sys, n)
+        if phase is not None:
+            first, tol_first = seen.setdefault((phase, r), (n, tol))
+            if first < n:
+                # Positions first..n-1 repeat from n on.
+                cycle = digits[first - 1:]
+                end, status = _cycle_stop(trail[first - 1:], first,
+                                          tol / tol_first, max_len)
+                digits += [cycle[(t - first) % len(cycle)] for t in range(n, end + 1)]
+                r, _, hull = trail[first - 1 + (end - first) % len(cycle)]
+                return result(status)
         lo_t, hi_t = tail_bounds(sys, n, read_depth(depth, n))
         tails = Enclosure(lo_t.lo, hi_t.hi)
         col = sys.column(n)
@@ -195,8 +219,44 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
         hull = tails
         if hull.width <= tol:
             return result("converged")
+        trail.append((r, tol, hull))
 
     return result("max-depth-reached")
+
+
+def _cycle_stop(cycle: list, first: int, growth: Fraction, max_len: int) -> tuple:
+    """(end, status) of an encode whose states repeat from position first on,
+    with `cycle` the (r, tol, hull) after each position of one cycle, every
+    one of them failing the stop test, and `growth` the factor that a whole
+    cycle multiplies tol by.
+
+    Position first + i + k*len(cycle) has the r and hull of cycle[i] and tol
+    times growth**k, so it stops at the least k with tol * growth**k >= width.
+    Each i bisects that k over exact powers, up to the last whole cycle that
+    would still stop before the best position found so far (or at max_len).
+    """
+    period = len(cycle)
+    powers = {}
+
+    def power(k):
+        if k not in powers:
+            powers[k] = growth ** k
+        return powers[k]
+
+    stop = None
+    for i, (_, tol, hull) in enumerate(cycle):
+        ratio = hull.width / tol            # > 1: the first cycle did not stop
+        lo, hi = 0, ((stop - 1 if stop else max_len) - first - i) // period
+        if hi < 1 or power(hi) < ratio:
+            continue
+        while hi - lo > 1:                  # power(lo) < ratio <= power(hi)
+            mid = (lo + hi) // 2
+            if power(mid) < ratio:
+                lo = mid
+            else:
+                hi = mid
+        stop = first + i + hi * period
+    return (stop, "converged") if stop else (max_len, "max-depth-reached")
 
 
 def roundtrip_verify(sys: DigitSystem, x, result: EncodeResult,

@@ -35,9 +35,10 @@ are periodic.
 
 This module is the only one that seeds, recurses or caches tails, and the
 only one that builds or reads step tables; the rest of the package reads
-them through `prefix_walk`, `prefix_weight` and `tail_bounds`, and reads the
-tails at position n at the depth `read_depth` gives. Both caches live in
-one record per system, keyed weakly, so they never keep a system alive.
+them through `prefix_walk`, `prefix_weight` and `tail_bounds`, reads the
+tails at position n at the depth `read_depth` gives, and asks `tail_phase`
+which positions repeat one another. Both caches live in one record per
+system, keyed weakly, so they never keep a system alive.
 """
 from __future__ import annotations
 
@@ -140,22 +141,27 @@ def eval_signed_product(w: DigitWord) -> Fraction:
     """Same value by the signed-column route: per-entry signed sums times
     signed running products, the column sign -1 where the marking changes
     from position n-1 (0 is unmarked) to n. Must agree with eval_prefix
-    exactly; the two routes share no sign logic."""
+    exactly; the two routes share no sign logic.
+
+    The total and the signed running product are num/den and prod/den over
+    one unreduced denominator: each position puts its entries 0..d over the
+    least common denominator c of theirs and multiplies den by c, so the
+    result is reduced once, on return."""
     sys = w.system
-    total = ZERO
-    signed_weight = ONE
+    num, prod, den = 0, 1, 1
     marked_before = False
     for pos, d in enumerate(w.digits, 1):
         marked = sys.signs.contains(pos)
         cs = -1 if marked != marked_before else 1
         marked_before = marked
         col = sys.column(pos)
-        step = ZERO
-        for i in range(d):
-            step += cs * col.entry(i)
-        total += step * signed_weight
-        signed_weight *= cs * col.entry(d)
-    return total
+        entries = [col.entry(i) for i in range(d + 1)]
+        c = math.lcm(*(e.denominator for e in entries))
+        step = cs * sum(e.numerator * (c // e.denominator) for e in entries[:d])
+        num = num * c + step * prod
+        prod *= cs * entries[d].numerator * (c // entries[d].denominator)
+        den *= c
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +394,24 @@ def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:
     """Enclosure [num_lo/den, num_hi/den], each endpoint reduced once."""
     lo = Fraction(num_lo, den)
     return Enclosure(lo, lo if num_lo == num_hi else Fraction(num_hi, den))
+
+
+def tail_phase(sys: DigitSystem, n: int):
+    """The phase of position n in the system's repeating structure, or None.
+
+    Positions past pre + period (`_structure_period`) with equal phase have
+    the same column and sign, and, when the seed at pre + period is exact,
+    the same tails at n - 1 and at n: `read_depth` reads both past pre +
+    period, where every query takes the canonical table. None for rule
+    columns, whose tails may repeat while the columns change with n, for
+    inexact tails, and for positions up to pre + period.
+    """
+    rec = _record(sys)
+    if not rec.shared or n <= rec.pre + rec.period:
+        return None
+    if rec.exact is None:
+        tail_bounds(sys, n, n + 1)      # decides the seed at pre + period
+    return (n - rec.pre - 1) % rec.period if rec.exact else None
 
 
 def read_depth(depth: int, n: int) -> int:

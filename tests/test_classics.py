@@ -87,6 +87,20 @@ def test_oracle_matches_engine_spot_checks():
             assert eval_prefix(word(sys, digits)) == oracle_eval(kind, digits)
 
 
+def test_oracle_matches_engine_on_long_words():
+    # 256 to 512 digits, on every oracle family; the cantor bases run out
+    # after three positions, so the last one repeats for the rest.
+    rng = random.Random(SEED + 1)
+    for kind in (s_adic(2), s_adic(7), nega_s_adic(3),
+                 mixed_sign(3, SignSet.residue_classes(3, (0,), 1)),
+                 cantor((2, 3, 4)), nega_cantor((3, 2, 5))):
+        sys = make_classic(kind)
+        for length in (256, rng.randint(257, 511), 512):
+            digits = tuple(rng.randint(0, sys.column(n).top_digit)
+                           for n in range(1, length + 1))
+            assert oracle_eval(kind, digits) == eval_prefix(word(sys, digits))
+
+
 def test_cantor_repeats_last_base():
     kind = cantor((2, 3))
     sys = make_classic(kind)

@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from varsign import (
     encode,
     eval_enclosure,
     eval_prefix,
+    example_a,
+    example_b,
     load_spec,
     make_classic,
     nega_s_adic,
@@ -34,13 +37,18 @@ from varsign import (
     uniform_column,
     value_range,
 )
+from varsign import encoder
 from varsign.cli import main
-from varsign.expansion import read_depth
+from varsign.encoder import _pair_status
+from varsign.expansion import read_depth, tail_phase
+from varsign.numerics import Enclosure
 
 from support import (
     PRESETS,
     UNSORTED_COLUMN_SPEC,
     preset_systems,
+    random_periodic_system,
+    random_signs,
     random_word_digits,
     rational_between,
     reference_encode,
@@ -66,6 +74,14 @@ def test_theorem_holds_for_tiling_systems():
         assert verdict.overall == "holds-to-depth"
         assert verdict.failure is None
         assert all(c.status == "holds" for c in verdict.checks)
+
+
+def test_pair_status_needs_separated_sides():
+    # A verdict only when the two enclosures do not overlap.
+    assert _pair_status(Enclosure(1, 2), Enclosure(2, 3)) == "holds"
+    assert _pair_status(Enclosure(3, 4), Enclosure(1, 2)) == "fails"
+    assert _pair_status(Enclosure(2, 3), Enclosure(1, 4)) == "undecided"
+    assert _pair_status(Enclosure(2, 5), Enclosure(1, 3)) == "undecided"
 
 
 def test_theorem_flags_gap():
@@ -100,8 +116,14 @@ def test_theorem_parameter_guards():
     sys = make_classic(s_adic(2))
     with pytest.raises(ParameterError):
         theorem_check(sys, 0, tail_depth=10)
-    with pytest.raises(ParameterError):
+    # The tail layer would refuse these too, later and in its own words.
+    with pytest.raises(ParameterError, match="check depth"):
         theorem_check(sys, 10, tail_depth=10)
+    with pytest.raises(ParameterError, match="check depth"):
+        theorem_check(sys, 2, tail_depth=3.0)
+    with pytest.raises(ParameterError):
+        theorem_check(sys, 1.0, tail_depth=3)
+    assert theorem_check(sys, 1, tail_depth=2).overall == "holds-to-depth"
 
 
 def test_encode_binary_rational():
@@ -119,6 +141,14 @@ def test_encode_rejects_out_of_range():
         encode(sys, Fraction(2), TOL)
     with pytest.raises(RangeError):
         encode(sys, Fraction(1, 3) + Fraction(1, 10 ** 9), TOL)
+    # The message names the outer ends of the range enclosures: example-a's
+    # low end and the rule system's high end are inexact at depth 3.
+    for system, x, text in (
+            (make_classic(example_a()), Fraction(-1, 3), r"\[-1/4, 1\]"),
+            (DigitSystem(SignSet.none(), RuleColumns(lambda n: uniform_column(3))),
+             Fraction(2), r"\[0, 1\]")):
+        with pytest.raises(RangeError, match=text):
+            encode(system, x, TOL, depth=3)
 
 
 def test_encode_hits_gap():
@@ -136,11 +166,33 @@ def test_encode_gap_below_first_rank():
     assert result.digits.digits[0] == 2
 
 
+def test_encode_parameter_guards():
+    sys = make_classic(s_adic(2))
+    for bad in ({"tolerance": 0}, {"max_len": 0}, {"max_len": 8.0},
+                {"depth": 0}, {"depth": 40.0}):
+        with pytest.raises(ParameterError):
+            encode(sys, **{"x": Fraction(1, 3), "tolerance": TOL, "max_len": 8,
+                           "depth": 40, **bad})
+    # The least values each guard lets through.
+    result = encode(sys, Fraction(1, 3), Fraction(1, 2 ** 200), max_len=1, depth=1)
+    assert (result.digits.digits, result.status) == ((0,), "max-depth-reached")
+
+
 def test_encode_max_len_exhaustion():
     sys = make_classic(s_adic(2))
     result = encode(sys, Fraction(1, 3), Fraction(1, 2 ** 200), max_len=10)
     assert result.status == "max-depth-reached"
     assert len(result.digits) == 10
+    assert len(encode(sys, Fraction(1, 3), Fraction(1, 2 ** 200)).digits) == 64
+
+
+def test_results_are_frozen():
+    sys = make_classic(s_adic(2))
+    verdict = theorem_check(sys, 1, tail_depth=3)
+    for value, field in ((encode(sys, Fraction(1, 3), TOL), "status"),
+                         (verdict, "overall"), (verdict.checks[0], "status")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, None)
 
 
 def test_encode_roundtrip_alternating():
@@ -230,9 +282,9 @@ def test_encode_wide_alphabets_roundtrip_against_oracle():
 SETTINGS = ((TOL, 64), (Fraction(1, 2 ** 512), 256))
 
 
-def _outcome(encoder, system, x, tolerance, max_len):
+def _outcome(encoder, system, x, tolerance, max_len, depth=40):
     try:
-        result = encoder(system, x, tolerance, max_len)
+        result = encoder(system, x, tolerance, max_len, depth)
     except VarsignError as exc:
         return type(exc)
     return (result.digits.digits, result.residual, result.status,
@@ -277,6 +329,113 @@ def test_encode_matches_the_absolute_coordinate_reference():
             statuses.add(ours if isinstance(ours, type) else ours[2])
     assert not mismatches, mismatches[:3]
     assert {"converged", "max-depth-reached", "gap", RangeError} <= statuses
+
+
+def _counting_tail_bounds(monkeypatch):
+    """Count encode's tail lookups: one for the range, then one per
+    position that the step loop runs."""
+    calls = []
+    real = encoder.tail_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(encoder, "tail_bounds", counted)
+    return calls
+
+
+def test_encode_cycles_match_the_absolute_coordinate_reference(monkeypatch):
+    # Past the first repeated state encode copies whole cycles forward
+    # instead of stepping, which shows as fewer tail lookups than positions.
+    calls = _counting_tail_bounds(monkeypatch)
+    binary = make_classic(s_adic(2))
+    nega_binary, mixed_ternary = (load_spec(os.path.join(PRESETS, f"{name}.json"))
+                                  for name in ("nega-binary", "mixed-ternary"))
+    assert tail_phase(mixed_ternary, 9) is None     # pre + period = 6 + 3
+    rng = random.Random(SEED + 7)
+    word_value = walk_prefix(nega_binary, random_word_digits(rng, nega_binary, 30))[0]
+    # (system, x, tolerance, max_len, depth)
+    cycled = [
+        # 001 repeats from position 1, before pre + period, and the state
+        # first repeats at 5; max_len 64 ends a cycle, 65 stops inside one.
+        (binary, Fraction(1, 7), Fraction(1, 2 ** 512), 64, 40),
+        (binary, Fraction(1, 7), Fraction(1, 2 ** 512), 65, 40),
+        # The stop test first passes 19 and 13 cycles past the first repeat.
+        (binary, Fraction(1, 3), Fraction(1, 2 ** 40), 64, 40),
+        (binary, Fraction(5, 7), Fraction(1, 2 ** 41), 64, 40),
+        # A cycle that starts after pre + period, at the end of the word.
+        (nega_binary, word_value, Fraction(1, 2 ** 512), 256, 40),
+        (nega_binary, word_value, Fraction(1, 2 ** 100), 256, 40),
+        # Digits periodic from position 1, first seen repeating past 9;
+        # then a depth below pre + period.
+        (mixed_ternary, Fraction(1, 13), Fraction(1, 2 ** 512), 100, 40),
+        (mixed_ternary, Fraction(1, 13), Fraction(1, 2 ** 60), 100, 4),
+        (mixed_ternary, Fraction(-1, 14), Fraction(1, 2 ** 70), 97, 4),
+    ]
+    named = list(cycled)
+    stepped = []
+    for system in (make_classic(example_a()), make_classic(example_b())):
+        assert all(tail_phase(system, n) is None for n in range(1, 300))
+        lo, hi = value_range(system, 40)
+        stepped += [(system, x, Fraction(1, 2 ** 200), 128, 40)
+                    for x in (rational_between(rng, lo.lo, hi.hi, 97),
+                              walk_prefix(system, random_word_digits(rng, system, 20))[0])]
+    # The ends of inexact ranges, read at depths 2 and 3: the range check and
+    # the first position's hull take both ends of both tails.
+    for system in (make_classic(example_a()),
+                   DigitSystem(SignSet.none(), RuleColumns(lambda n: uniform_column(3))),
+                   DigitSystem(SignSet.none(), RuleColumns(
+                       lambda n: GeometricColumn(Fraction(1, 2), Fraction(1, 2))))):
+        lo, hi = value_range(system, 2)
+        stepped += [(system, x, Fraction(1, 2 ** 20), 16, depth)
+                    for x in (lo.lo, lo.hi, hi.lo, hi.hi) for depth in (1, 3)]
+    # A gap at position 1 under an inexact high end: the residual is x minus
+    # the whole range.
+    first = gap_system().column(1)
+    stepped.append((DigitSystem(SignSet.from_list([1]), RuleColumns(
+        lambda n: first if n == 1 else uniform_column(2))),
+        Fraction(-1, 12), Fraction(1, 2 ** 20), 16, 3))
+    # Uniform columns keep r's denominator bounded, so small-denominator
+    # targets repeat a state; one period of random columns also repeats
+    # once the target's word runs out and r stays 0.
+    for _ in range(12):
+        columns = ListColumns(tuple(uniform_column(rng.randint(2, 5))
+                                    for _ in range(rng.randint(1, 3))), "cycle")
+        system = DigitSystem(random_signs(rng), columns)
+        lo, hi = value_range(system, 40)
+        for tolerance, max_len in ((Fraction(1, 2 ** 30), 64),
+                                   (Fraction(1, 2 ** 300), rng.randint(40, 90))):
+            cycled.append((system, rational_between(rng, lo.lo, hi.hi, rng.randint(3, 30)),
+                           tolerance, max_len, rng.choice((3, 40))))
+    for system in (random_periodic_system(rng) for _ in range(12)):
+        x = walk_prefix(system, random_word_digits(rng, system, rng.randint(3, 20)))[0]
+        cycled.append((system, x, Fraction(1, 2 ** 300), 80, 40))
+    shortcuts = 0
+    statuses = set()
+    for case in cycled + stepped:
+        del calls[:]
+        ours = _outcome(encode, *case)
+        assert ours == _outcome(reference_encode, *case), case
+        statuses.add(ours if isinstance(ours, type) else ours[2])
+        if isinstance(ours, type) or ours[2] == "gap":
+            continue
+        steps, positions = len(calls) - 1, len(ours[0])
+        assert steps == positions if case in stepped else steps <= positions
+        assert steps < positions or case not in named
+        shortcuts += steps < positions
+    assert shortcuts >= len(named) + 20
+    assert {"converged", "max-depth-reached", "gap", RangeError} <= statuses
+
+
+def test_deep_nega_binary_encode_stops_stepping_at_the_cycle(monkeypatch):
+    calls = _counting_tail_bounds(monkeypatch)
+    system = make_classic(nega_s_adic(2))
+    rng = random.Random(SEED + 8)
+    x = walk_prefix(system, random_word_digits(rng, system, 100))[0]
+    result = encode(system, x, Fraction(1, 2 ** 512), max_len=256)
+    assert result.status == "max-depth-reached" and len(result.digits) == 256
+    assert len(calls) < 256
 
 
 def test_encode_and_eval_read_the_same_depth(capsys):

@@ -19,6 +19,7 @@ from varsign import (
     ParameterError,
     RuleColumns,
     SignSet,
+    cantor,
     encode,
     eval_enclosure,
     eval_prefix,
@@ -27,6 +28,8 @@ from varsign import (
     example_b,
     load_spec,
     make_classic,
+    mixed_sign,
+    nega_cantor,
     nega_s_adic,
     parse_spec,
     prefix_walk,
@@ -92,6 +95,21 @@ def test_signed_product_route_matches_on_random_systems():
         assert eval_signed_product(w) == eval_prefix(w)
 
 
+def test_signed_product_route_matches_on_long_words():
+    # Words of 256 to 512 digits on every preset, the unsorted column and
+    # the classic families, whose columns put entries over different
+    # denominators (1/2, 1/3, 1/6) or none at all (geometric).
+    rng = random.Random(SEED + 15)
+    systems = preset_systems() + [parse_spec(UNSORTED_COLUMN_SPEC)]
+    systems += [make_classic(kind) for kind in (
+        s_adic(2), nega_s_adic(3), mixed_sign(3, SignSet.residue_classes(3, (0,), 1)),
+        cantor((2, 3, 4)), nega_cantor((3, 2, 5)))]
+    for sys in systems:
+        for rank in (256, rng.randint(257, 511), 512):
+            w = word(sys, random_word_digits(rng, sys, rank))
+            assert eval_signed_product(w) == eval_prefix(w) == walk_prefix(sys, w.digits)[0]
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
 def test_signed_product_route_matches_on_alternating_binary(bits):
     sys = make_classic(nega_s_adic(2))
@@ -132,9 +150,11 @@ def test_prefix_walk_is_value_and_weight():
 
 def test_integer_walk_matches_the_fraction_routes():
     # prefix_walk and prefix_weight carry integers over one unreduced
-    # denominator; walk_prefix, eval_signed_product and a running product of
-    # entries use reduced Fractions throughout. Uniform columns of 4 and 6
-    # digits give weights that reduce (2/4 = 1/2) over entries that do not.
+    # denominator; walk_prefix and a running product of entries use reduced
+    # Fractions throughout, and eval_signed_product puts each position's
+    # entries over their own least common denominator. Uniform columns of 4
+    # and 6 digits give weights that reduce (2/4 = 1/2) over entries that do
+    # not.
     rng = random.Random(SEED + 14)
     reducing = [
         DigitSystem(SignSet.odd(), ListColumns((uniform_column(4),))),
