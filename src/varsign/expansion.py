@@ -28,10 +28,12 @@ whose seed is inexact, or a query shallower than pre + period, keeps one
 table per (system, depth).
 
 The prefix walk and the tail recursion read one step table per system: per
-position the term sign, the column, a digit memo of the column's (weight,
-entry) pairs and the two extremal pairs, built lazily only as far as a word
-or a tail reaches, and shared by phase past pre + period when the columns
-are periodic.
+position the term sign, a digit memo of the column's (weight, entry) pairs
+(which holds its column) and the two extremal pairs, built lazily only as
+far as a word or a tail reaches, and shared by phase past pre + period when
+the columns are periodic. Both tails are carried as nonnegative magnitudes
+through one side walk (`_side_walk`), the low one negated only when stored;
+the periodic seed is read from the same walk over one period.
 
 This module is the only one that seeds, recurses or caches tails, and the
 only one that builds or reads step tables; the rest of the package reads
@@ -94,10 +96,18 @@ def _over_common(x: Fraction, y: Fraction) -> tuple:
     return x.numerator * (c // xd), y.numerator * (c // yd), c
 
 
-def _digit(col, memo: dict, d: int) -> tuple:
-    """Digit d's (weight, entry) over a common denominator, kept in memo."""
-    triple = memo[d] = _over_common(col.weight(d), col.entry(d))
-    return triple
+class _Digits(dict):
+    """A column's digit memo: digit d -> (a, q, c), its weight a/c and
+    entry q/c over their least common denominator, filled on first read."""
+
+    __slots__ = ("col",)
+
+    def __init__(self, col):
+        self.col = col
+
+    def __missing__(self, d: int) -> tuple:
+        triple = self[d] = _over_common(self.col.weight(d), self.col.entry(d))
+        return triple
 
 
 def prefix_walk(w: DigitWord) -> tuple:
@@ -112,8 +122,8 @@ def prefix_walk(w: DigitWord) -> tuple:
     columns and (a, q, c) are read from the system's step table.
     """
     num, wnum, den = 0, 1, 1
-    for (sign, col, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
-        a, q, c = memo.get(d) or _digit(col, memo, d)
+    for (sign, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+        a, q, c = memo[d]
         num = num * c + sign * a * wnum
         wnum *= q
         den *= c
@@ -130,8 +140,8 @@ def prefix_weight(w: DigitWord) -> Fraction:
     carried as entry numerators over one unreduced denominator and reduced
     once, from the same step table as `prefix_walk`."""
     num = den = 1
-    for (_, col, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
-        _, q, c = memo.get(d) or _digit(col, memo, d)
+    for (_, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+        _, q, c = memo[d]
         num *= q
         den *= c
     return Fraction(num, den)
@@ -146,20 +156,29 @@ def eval_signed_product(w: DigitWord) -> Fraction:
     The total and the signed running product are num/den and prod/den over
     one unreduced denominator: each position puts its entries 0..d over the
     least common denominator c of theirs and multiplies den by c, so the
-    result is reduced once, on return."""
+    result is reduced once, on return. Each (column, digit) is put over its
+    denominator once per call."""
     sys = w.system
     num, prod, den = 0, 1, 1
     marked_before = False
+    # (id(col), d) -> (col, sum of entries 0..d-1, entry d, c), numerators
+    # over c; holding the column keeps its id from being reused.
+    seen = {}
     for pos, d in enumerate(w.digits, 1):
         marked = sys.signs.contains(pos)
         cs = -1 if marked != marked_before else 1
         marked_before = marked
         col = sys.column(pos)
-        entries = [col.entry(i) for i in range(d + 1)]
-        c = math.lcm(*(e.denominator for e in entries))
-        step = cs * sum(e.numerator * (c // e.denominator) for e in entries[:d])
-        num = num * c + step * prod
-        prod *= cs * entries[d].numerator * (c // entries[d].denominator)
+        kept = seen.get((id(col), d))
+        if kept is None:
+            entries = [col.entry(i) for i in range(d + 1)]
+            c = math.lcm(*(e.denominator for e in entries))
+            kept = seen[id(col), d] = (
+                col, sum(e.numerator * (c // e.denominator) for e in entries[:d]),
+                entries[d].numerator * (c // entries[d].denominator), c)
+        _, below, entry, c = kept
+        num = num * c + cs * below * prod
+        prod *= cs * entry
         den *= c
     return Fraction(num, den)
 
@@ -182,13 +201,14 @@ class _SystemRecord:
     tables.
 
     The step table `steps` holds one record per position 1..len(steps):
-    (term sign, column, digit memo, low, high), where the memo maps a digit
-    to the (a, q, c) of its weight a/c and entry q/c and is shared by every
-    position of the same column, and low and high are the (a, q, c) of the
-    digits driving the series to its infimum and to its supremum there
-    (see `_step`). It is a tuple, replaced by a longer one as walks and
-    tails reach further, so a reader's snapshot never changes and
-    concurrent extensions cannot misalign positions. With periodic columns
+    (term sign, digit memo, low, high), where the memo (`_Digits`) holds
+    the column, maps a digit to the (a, q, c) of its weight a/c and entry
+    q/c and is shared by every position of the same column, and low and
+    high are the (a, q, c) of the digits driving the series to its infimum
+    and to its supremum there (see `_step`): the steps `_side_walk` takes
+    on each side's tail magnitude. It is a tuple, replaced by a longer one
+    as walks and tails reach further, so a reader's snapshot never changes
+    and concurrent extensions cannot misalign positions. With periodic columns
     (`shared`), positions past pre + period read the record of their phase,
     and the table stops there; rule columns get one record per position.
 
@@ -234,19 +254,15 @@ def _step(sys: DigitSystem, memos: dict, t: int) -> tuple:
     marked positions and the high side elsewhere; digit 0 drives the other.
     """
     col = sys.column(t)
-    # Keyed by identity and holding the column, so the key cannot be reused.
-    kept = memos.get(id(col))
-    if kept is None:
-        kept = memos[id(col)] = (col, {})
-    memo = kept[1]
-    bottom = memo.get(0) or _digit(col, memo, 0)
-    if col.is_infinite:
-        top = _LIMIT
-    else:
-        top = memo.get(col.top_digit) or _digit(col, memo, col.top_digit)
+    # Keyed by identity; the memo holds the column, so the key cannot be reused.
+    memo = memos.get(id(col))
+    if memo is None:
+        memo = memos[id(col)] = _Digits(col)
+    bottom = memo[0]
+    top = _LIMIT if col.is_infinite else memo[col.top_digit]
     if sys.signs.contains(t):
-        return -1, col, memo, top, bottom
-    return 1, col, memo, bottom, top
+        return -1, memo, top, bottom
+    return 1, memo, bottom, top
 
 
 def _steps(sys: DigitSystem, last: int, first: int = 1) -> tuple:
@@ -270,52 +286,65 @@ def _steps(sys: DigitSystem, last: int, first: int = 1) -> tuple:
     return known[first - 1:] + tuple(repeats)
 
 
-def _tail_seed(sys: DigitSystem, depth: int, low: bool) -> Enclosure:
-    """Enclosure of the low (or high) tail magnitude past position depth."""
+# Where each side's (a, q, c) sits in a step record.
+_LOW, _HIGH = 2, 3
+
+
+def _side_walk(steps: tuple, side: int, num_lo: int, num_hi: int, den: int):
+    """Walk one side's tail magnitude back over steps, from the last record
+    to the first, from [num_lo/den, num_hi/den] past the last; yield the
+    unreduced (num_lo, num_hi, den) at the position before each record.
+
+    The step is M(t-1) = a~_t + q~_t * M(t) on both endpoints: with a~ = A/c
+    and q~ = Q/c, num/den becomes (A*den + Q*num)/(c*den), with no gcd. The
+    limit pair (1, 0) of an infinite column drops the carried tail, so the
+    walk restarts there at the point 1 over 1.
+    """
+    for step in reversed(steps):
+        a, q, c = step[side]
+        if q:
+            num_lo, num_hi, den = a * den + q * num_lo, a * den + q * num_hi, c * den
+        else:
+            num_lo = num_hi = a
+            den = c
+        yield num_lo, num_hi, den
+
+
+def _tail_seed(sys: DigitSystem, depth: int) -> tuple:
+    """Signed enclosures (lo, hi) of the downward and upward tails past
+    position depth: the low side's magnitude negated, and the high side's."""
     signs = sys.signs
     cols = sys.columns
     members = signs.has_members_beyond(depth)
     nonmembers = signs.has_nonmembers_beyond(depth)
-    contributors_beyond, others_beyond = (
-        (members, nonmembers) if low else (nonmembers, members)
-    )
-
-    if not contributors_beyond:
-        return Enclosure.point(0)
     periodic = cols.periodicity()
-    if periodic is not None:
-        # Past the provider's preperiod one period of singleton columns means
-        # forced digits forever, each of weight 0 and entry 1: no tail.
-        window = range(depth + 1, max(depth, periodic[0]) + periodic[1] + 1)
-        if all(sys.column(t).top_digit == 0 for t in window):
-            return Enclosure.point(0)
-    if not others_beyond and cols.claims_vanishing_product():
-        # Every later position contributes 1 - entry; the sum telescopes to
-        # 1 minus a vanishing product.
-        return Enclosure.point(1)
-
-    if periodic is not None:
-        rec = _record(sys)
-        if depth >= rec.pre:
-            # partial/den and running/den over one period, den unreduced.
-            partial, running, den = 0, 1, 1
-            for step in _steps(sys, depth + rec.period, depth + 1):
-                a, q, c = step[3 if low else 4]
-                partial = partial * c + running * a
-                running *= q
-                den *= c
-            # R = partial + running * R over one period; running < den, as one
-            # period of singleton columns returned by the all-singleton branch.
-            return Enclosure.point(Fraction(partial, den - running))
-
-    return Enclosure(ZERO, ONE)
-
-
-def _seeded_table(sys: DigitSystem, depth: int) -> dict:
-    return {depth: (
-        _tail_seed(sys, depth, low=True).neg(),
-        _tail_seed(sys, depth, low=False),
-    )}
+    # Past the provider's preperiod one period of singleton columns means
+    # forced digits forever, each of weight 0 and entry 1: no tail.
+    singleton = periodic is not None and all(
+        sys.column(t).top_digit == 0
+        for t in range(depth + 1, max(depth, periodic[0]) + periodic[1] + 1))
+    rec = _record(sys)
+    seeds = []
+    for side, contributors_beyond, others_beyond in (
+            (_LOW, members, nonmembers), (_HIGH, nonmembers, members)):
+        if not contributors_beyond or singleton:
+            seeds.append(Enclosure.point(0))
+        elif not others_beyond and cols.claims_vanishing_product():
+            # Every later position contributes 1 - entry; the sum telescopes
+            # to 1 minus a vanishing product.
+            seeds.append(Enclosure.point(1))
+        elif periodic is not None and depth >= rec.pre:
+            # One period from [0, 1] gives [A, A + B] for its map R -> A + B*R,
+            # whose fixed point is A / (1 - B); B < 1, as one period of
+            # singleton columns has taken the point 0 above.
+            period = _steps(sys, depth + rec.period, depth + 1)
+            for num_lo, num_hi, den in _side_walk(period, side, 0, 1, 1):
+                pass
+            seeds.append(Enclosure.point(Fraction(num_lo, den - num_hi + num_lo)))
+        else:
+            seeds.append(Enclosure(ZERO, ONE))
+    low, high = seeds
+    return low.neg(), high
 
 
 def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -345,48 +374,31 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     if depth >= canonical:
         if rec.exact is None:
             # Decided once, by a query that pays for pre + period steps.
-            table = _seeded_table(sys, canonical)
-            lo, hi = table[canonical]
+            lo, hi = seed = _tail_seed(sys, canonical)
             rec.exact = lo.is_point and hi.is_point
             if rec.exact:
-                tables.setdefault(canonical, table)
+                tables.setdefault(canonical, {canonical: seed})
         if rec.exact:
             if n >= rec.pre:
                 n = rec.pre + (n - rec.pre) % rec.period
             depth = canonical
     table = tables.get(depth)
     if table is None:
-        table = tables[depth] = _seeded_table(sys, depth)
+        table = tables[depth] = {depth: _tail_seed(sys, depth)}
     hit = table.get(n)
     if hit is not None:
         return hit
-    # R(t-1) = a~_t + q~_t * R(t) per side (negated on the low side), from
-    # the lowest filled position down to n. Each side carries the numerators
-    # of both endpoints over one unreduced denominator: with a~ = A/c and
-    # q~ = Q/c, num/den becomes (A*den + Q*num)/(c*den). Only the stored
-    # entries are reduced. The limit pair (1, 0) of an infinite column drops
-    # the carried tail, so its side restarts at the point -1 or 1 over 1.
+    # Both sides walk their magnitudes from the lowest filled position down
+    # to n (`_side_walk`); only the stored entries are reduced, the low side
+    # negated.
     t = next(reversed(table))
     lo, hi = table[t]
-    lo_a, lo_b, lo_den = _over_common(lo.lo, lo.hi)
-    hi_a, hi_b, hi_den = _over_common(hi.lo, hi.hi)
-    for _, _, _, low, high in reversed(_steps(sys, t, n + 1)):
-        a, q, c = low
-        if q:
-            lo_a, lo_b = q * lo_a - a * lo_den, q * lo_b - a * lo_den
-            lo_den *= c
-        else:
-            lo_a = lo_b = -a
-            lo_den = c
-        a, q, c = high
-        if q:
-            hi_a, hi_b = a * hi_den + q * hi_a, a * hi_den + q * hi_b
-            hi_den *= c
-        else:
-            hi_a = hi_b = a
-            hi_den = c
+    steps = _steps(sys, t, n + 1)
+    lows = _side_walk(steps, _LOW, *_over_common(-lo.hi, -lo.lo))
+    highs = _side_walk(steps, _HIGH, *_over_common(hi.lo, hi.hi))
+    for (m_lo, m_hi, m_den), high in zip(lows, highs):
         t -= 1
-        table[t] = (_reduced(lo_a, lo_b, lo_den), _reduced(hi_a, hi_b, hi_den))
+        table[t] = (_reduced(-m_hi, -m_lo, m_den), _reduced(*high))
     return table[n]
 
 

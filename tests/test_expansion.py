@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import random
@@ -42,7 +43,7 @@ from varsign import (
 )
 
 from varsign import expansion
-from varsign.expansion import _structure_period, _tail_seed
+from varsign.expansion import _structure_period, _tail_seed, tail_phase
 from support import (
     UNSORTED_COLUMN_SPEC,
     build_signs,
@@ -72,6 +73,14 @@ def test_word_checks_digits():
     for digits in ((1.7, 2.2), (1.0,), ("1",), (0, Fraction(1))):
         with pytest.raises(DomainError, match="digit"):
             word(sys, digits)
+
+
+def test_words_are_frozen_and_hashable():
+    sys = make_classic(s_adic(3))
+    w = word(sys, (1, 0, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.digits = (0,)
+    assert {w: 1}[word(sys, [1, 0, 2])] == 1
 
 
 def test_eval_prefix_ternary_value():
@@ -260,7 +269,7 @@ def test_tail_width_bounded_by_entry_product():
 def _extremal(sys, t):
     """The (weight, entry) pairs of the step table's low and high sides at
     position t, as Fractions."""
-    low, high = expansion._steps(sys, t)[t - 1][3:]
+    low, high = expansion._steps(sys, t)[t - 1][2:]
     return tuple((Fraction(a, c), Fraction(q, c)) for a, q, c in (low, high))
 
 
@@ -286,11 +295,20 @@ SIGN_KINDS = (
 )
 
 
+def _three_phases():
+    """(pre, period) = (2, 3), with both sides contributing at every phase,
+    so the three phases past pre have three different tail pairs, and 2 *
+    pre is not a multiple of the period."""
+    return DigitSystem(SignSet(start=2, period=3, residues=frozenset({0})), ListColumns(
+        (uniform_column(2), uniform_column(3), uniform_column(5)), "cycle"))
+
+
 def _differential_systems(rng):
     """Systems whose tails come from every seed branch: finite columns
     (sorted, unsorted, singleton) and geometric ones under both list
-    extensions, rule columns with and without the vanishing claim, and the
-    two example systems."""
+    extensions, rule columns with and without the vanishing claim, the two
+    example systems, and `_three_phases`, on which a position past pre +
+    period read at a shifted phase gets another tail pair."""
     systems = [make_classic(example_a()), make_classic(example_b()),
                random_finite_system(rng, support=7)]
     for i in range(28):
@@ -307,7 +325,7 @@ def _differential_systems(rng):
                 vanishing_product=shape == 3,
             )
         systems.append(DigitSystem(signs, provider))
-    return systems
+    return systems + [_three_phases()]
 
 
 def test_tail_bounds_match_reference_recursion():
@@ -346,12 +364,59 @@ def test_seed_branch_repeats_past_the_preperiod():
     rng = random.Random(SEED + 8)
     for sys in _differential_systems(rng):
         pre, period = _structure_period(sys)
-        for low in (True, False):
-            seeds = [_tail_seed(sys, depth, low)
-                     for depth in range(pre, pre + 3 * period + 1)]
+        pairs = [_tail_seed(sys, depth) for depth in range(pre, pre + 3 * period + 1)]
+        for seeds in zip(*pairs):
             assert len({seed.is_point for seed in seeds}) == 1, (pre, period)
             if seeds[0].is_point:
                 assert seeds[period:] == seeds[:-period]
+
+
+def test_complemented_signs_swap_and_negate_the_tails():
+    # Complementing the sign set flips every term sign, so the twin's
+    # downward tail is the original's upward one negated, and the other way
+    # round. Both sides go through one walk; a change to only one fails.
+    rng = random.Random(SEED + 17)
+    for sys in _differential_systems(rng):
+        twin = DigitSystem(SignSet.complement(sys.signs), sys.columns)
+        pre, period = _structure_period(sys)
+        for depth in (3, 9, 40, pre + period, pre + period + 1):
+            for n in range(depth):
+                lo, hi = tail_bounds(sys, n, depth)
+                assert tail_bounds(twin, n, depth) == (hi.neg(), lo.neg()), (n, depth)
+
+
+def test_singleton_run_longer_than_the_period_keeps_the_tail():
+    # Columns 1-3 are singletons and column 4 repeats from there on, so
+    # (pre, period) = (3, 1): a seed shallower than the preperiod must look
+    # a full period past it, to position 4, before it drops the tail.
+    one = FiniteColumn((Fraction(1),))
+    sys = DigitSystem(SignSet.odd(), ListColumns(
+        (one, one, one, uniform_column(2)), "repeat-last"))
+    for depth in range(1, 7):
+        expected = reference_tail_bounds(sys, depth)
+        for n in range(depth):
+            assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
+    lo, hi = value_range(sys, 1)
+    assert lo.lo < 0 < hi.hi
+
+
+def test_tail_phase_counts_from_past_the_canonical_depth():
+    # Each position is asked of a fresh system, so a query past pre +
+    # period decides the seed itself: None up to pre + period = 5, then
+    # (n - pre - 1) % period. Rule columns never get a phase, even with
+    # exact tails.
+    assert [tail_phase(_three_phases(), n) for n in range(1, 11)] == [None] * 5 + [0, 1, 2, 0, 1]
+    rule = make_classic(example_b())
+    assert tail_phase(rule, 10) is None
+    assert tail_bounds(rule, 0, 3)[0].is_point
+
+
+def test_eval_enclosure_names_the_word_length():
+    w = word(make_classic(s_adic(2)), (1, 0, 1))
+    for depth in (2, 3, 3.5, None):
+        with pytest.raises(ParameterError, match="word length 3"):
+            eval_enclosure(w, depth)
+    assert eval_enclosure(w, 4).contains(Fraction(5, 8))
 
 
 def _step_table_systems():
@@ -410,7 +475,7 @@ def test_step_table_matches_the_fraction_routes():
             assert len(steps) == pre + period
         else:
             assert reach + 90 <= len(steps) <= reach + 91
-        assert len({id(step[2]) for step in steps}) == len({id(step[1]) for step in steps})
+        assert len({id(step[1]) for step in steps}) == len({id(step[1].col) for step in steps})
 
 
 def test_step_table_survives_concurrent_extension():

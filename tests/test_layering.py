@@ -109,7 +109,7 @@ INDEPENDENT_ROUTES = (
     (os.path.join(HERE, "support.py"), "reference_encode"),
 )
 WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds",
-        "_steps", "_step", "_digit", "_record", "_RECORDS"}
+        "_steps", "_step", "_Digits", "_record", "_RECORDS"}
 
 
 def walk_uses(source, function):

@@ -13,10 +13,12 @@ directory, so TMPDIR chooses where) and runs pytest there with -x, on the given 
 mutant is killed when the run fails, timed out when it exceeds three times
 the unmutated run's time plus 10 s, and survives when it passes.
 
-The result goes to MUTANTS.json at the repository root: counts, and one
-entry per mutant with its enclosing function, line, change and status. A
-survivor's "note" (why it is equivalent, or which test should kill it) is
-kept from the previous MUTANTS.json while the mutant keeps its id.
+The result goes to MUTANTS.json at the repository root, which keeps one
+section per module under "modules", keyed by the module's path: counts, and
+one entry per mutant with its enclosing function, line, change and status.
+A sweep replaces only its own module's section. A survivor's "note" (why it
+is equivalent, or which test should kill it) is kept from that module's
+previous section while the mutant keeps its id.
 """
 from __future__ import annotations
 
@@ -153,10 +155,12 @@ def main(argv: list) -> int:
     tests = argv[1:] or ["tests"]
     with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
         source = fh.read()
-    notes = {}
+    sections = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
-            notes = {m["id"]: m["note"] for m in json.load(fh)["mutants"] if "note" in m}
+            sections = json.load(fh)["modules"]
+    notes = {m["id"]: m["note"] for m in sections.get(module, {}).get("mutants", ())
+             if "note" in m}
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as copy:
         for name in COPIED:
@@ -187,15 +191,14 @@ def main(argv: list) -> int:
 
     counts = {status: sum(1 for r in results if r["status"] == status)
               for status in ("killed", "timed-out", "survived")}
-    report = {
-        "module": module,
+    sections[module] = {
         "command": "python -m pytest -x -q -p no:cacheprovider " + " ".join(tests),
         "total": len(results),
         **counts,
         "mutants": results,
     }
     with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
+        json.dump({"modules": dict(sorted(sections.items()))}, fh, indent=1)
         fh.write("\n")
     print(f"{len(results)} mutants, {counts['survived']} survived; wrote {OUT}")
     return 0
