@@ -1,5 +1,8 @@
 import json
 import os
+import re
+
+import pytest
 
 from varsign import parse_enclosure, parse_rational
 from varsign.cli import main
@@ -145,3 +148,109 @@ def test_machine_output_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+HELP = os.path.join(os.path.dirname(__file__), "golden", "help")
+NEGA = preset("nega-binary.json")
+MISSING = "/does/not/exist.json"
+
+
+def help_screen(name):
+    with open(os.path.join(HELP, f"{name}.out"), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def usage_error(command, message):
+    """stderr of a usage error reported with the usage lines of `command`
+    (None for the top level)."""
+    prog = f"varsign {command}" if command else "varsign"
+    usage = f"{prog} [OPTIONS]" if command else f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    return f"Usage: {usage}\nTry '{prog} --help' for help.\n\nError: {message}\n"
+
+
+RANGE_DEPTH_7 = ('{"command": "range", "depth": 7, "infimum": {"hi": "-2/3", "lo": '
+                 '"-2/3"}, "supremum": {"hi": "1/3", "lo": "1/3"}}\n')
+RANGE_DEPTH_40 = RANGE_DEPTH_7.replace('"depth": 7', '"depth": 40')
+
+# The argv contract: (argv, exit code, exact stdout, exact stderr).
+CONTRACT = [
+    # A value is `--opt value` or `--opt=value`, and always the next token.
+    (["range", f"--spec={NEGA}", "--format=machine", "--depth=7"], 0, RANGE_DEPTH_7, ""),
+    (["encode", "--spec", NEGA, "--x", "-1/4", "--format", "machine", "--max-len", "2"], 0,
+     '{"command": "encode", "digits": [1, 1], "gap_position": null, "residual": '
+     '{"hi": "1/6", "lo": "-1/12"}, "status": "max-depth-reached", "tolerance": '
+     '"1/1073741824", "x": "-1/4"}\n', ""),
+    (["placement", "--spec", NEGA, "--base", "", "--digit", "0", "--format", "machine"], 0,
+     '{"command": "placement", "depth": 40, "digit": 0, "kappa1": {"hi": "1/1", "lo": '
+     '"1/1"}, "kappa2": {"hi": "0/1", "lo": "0/1"}, "measure": {"hi": "0/1", "lo": '
+     '"0/1"}, "nu1": {"hi": "-1/1", "lo": "-1/1"}, "nu2": {"hi": "0/1", "lo": "0/1"}, '
+     '"omega1": {"hi": "2/3", "lo": "2/3"}, "omega2": {"hi": "1/3", "lo": "1/3"}, '
+     '"orientation": "right-to-left", "overlap_class": "one-point", "position": 1}\n', ""),
+    (["placement", "--spec", NEGA, "--digit", "-1"], 3, "",
+     "error: adjacent pair (-1, 0) invalid at position 1\n"),
+    (["range", "--spec", NEGA, "--depth", "--help"], 1, "", usage_error(
+        "range", "Invalid value for '--depth': '--help' is not a valid integer.")),
+    # A repeated option takes its last value.
+    (["range", "--spec", MISSING, "--spec", NEGA, "--format", "machine"], 0, RANGE_DEPTH_40, ""),
+    (["range", "--spec", NEGA, "--format", "machine", "--depth", "3", "--depth=7"], 0,
+     RANGE_DEPTH_7, ""),
+    # Integers go through int().
+    (["range", "--spec", NEGA, "--depth", " 7", "--format", "machine"], 0, RANGE_DEPTH_7, ""),
+    # Usage errors: exit 1, usage lines and the message on stderr.
+    (["validate"], 1, "", usage_error("validate", "Missing option '--spec'.")),
+    (["eval", "--spec", NEGA], 1, "", usage_error("eval", "Missing option '--digits'.")),
+    (["validate", "--spec"], 1, "", "Error: Option '--spec' requires an argument.\n"),
+    (["range", "--help", "--depth"], 1, "", "Error: Option '--depth' requires an argument.\n"),
+    (["validate", "--spec", NEGA, "--bogus"], 1, "",
+     usage_error("validate", "No such option '--bogus'.")),
+    (["validate", "-h"], 1, "", usage_error("validate", "No such option '-h'.")),
+    (["validate", "--version"], 1, "", usage_error("validate", "No such option '--version'.")),
+    (["--version"], 1, "", usage_error(None, "No such option '--version'.")),
+    (["validate", "--sp", NEGA], 1, "", usage_error("validate", "No such option '--sp'.")),
+    (["validate", "--spec", NEGA, "x"], 1, "",
+     usage_error("validate", "Got unexpected extra argument (x)")),
+    (["validate", "--spec", NEGA, "--", "x"], 1, "",
+     usage_error("validate", "Got unexpected extra argument (x)")),
+    (["range", "--spec", NEGA, "--depth", "abc"], 1, "", usage_error(
+        "range", "Invalid value for '--depth': 'abc' is not a valid integer.")),
+    (["range", "--spec", NEGA, "--format", "xml"], 1, "", usage_error(
+        "range", "Invalid value for '--format': 'xml' is not one of 'text', 'machine'.")),
+    (["nonsense"], 1, "", usage_error(None, "No such command 'nonsense'.")),
+    (["eval", "--spec", NEGA, "--digits", "1,x"], 1, "",
+     usage_error("eval", "bad digit list '1,x'")),
+    (["encode", "--spec", NEGA, "--x", "abc"], 1, "",
+     usage_error("encode", "not a rational: 'abc'")),
+    # No arguments: the top-level help on stderr.
+    ([], 1, "", help_screen("varsign")),
+    # --help wins over a bad value or a missing option, not over an unknown one.
+    (["--help"], 0, help_screen("varsign"), ""),
+    (["range", "--depth", "abc", "--help"], 0, help_screen("range"), ""),
+    (["eval", "--help"], 0, help_screen("eval"), ""),
+    (["range", "--help", "--bogus"], 1, "", usage_error("range", "No such option '--bogus'.")),
+    (["range", "--bogus", "--help"], 1, "", usage_error("range", "No such option '--bogus'.")),
+    # Spec errors exit 2, domain errors exit 3.
+    (["range", "--spec", NEGA, "--spec", MISSING], 2, "",
+     f"spec error: cannot read spec file: [Errno 2] No such file or directory: '{MISSING}'\n"),
+    (["encode", "--spec", NEGA, "--x", "7/2"], 3, "",
+     "error: 7/2 outside the representable range [-2/3, 1/3]\n"),
+    (["encode", "--spec", preset("gap-halves.json"), "--x", "-1/12", "--format", "machine"], 3,
+     '{"command": "encode", "digits": [], "gap_position": 1, "residual": {"hi": "3/4", '
+     '"lo": "-7/12"}, "status": "gap", "tolerance": "1/1073741824", "x": "-1/12"}\n',
+     "gap: no digit at position 1 after the chosen prefix has a hull that contains -1/12; "
+     "other prefixes were not searched\n"),
+]
+
+
+def row_id(argv):
+    """The row's argv with spec paths cut to their file names."""
+    return " ".join(re.sub(r"[^=]*/(?=[^/]*\.json$)", "", a)
+                    for a in argv) or "(no arguments)"
+
+
+@pytest.mark.parametrize("argv, code, out, err", CONTRACT,
+                         ids=[row_id(row[0]) for row in CONTRACT])
+def test_argv_contract(capsys, argv, code, out, err):
+    got_code, got_out, got_err = run(capsys, *argv)
+    # An option-name suggestion ("Did you mean ...?") is not part of the contract.
+    got_err = re.sub(r" \(?Did you mean .*\?\)?$", "", got_err, flags=re.M)
+    assert (got_code, got_out, got_err) == (code, out, err)
