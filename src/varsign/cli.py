@@ -8,6 +8,16 @@ that is the stable interface.  `--format text` (the default) prints the same
 document through `_render`, one `key: value` line per field.  All arithmetic
 is exact, so repeated runs with the same inputs produce byte-identical output.
 
+The command line is `varsign COMMAND --spec FILE [OPTIONS]`.  One table,
+`_COMMANDS`, names each command's body and options; a small argv loop reads
+it, and the `--help` screens are generated from it at a fixed width of 78
+columns.  An option's value is written `--opt value` or `--opt=value` and is
+always the next token, so `--x -1/4` and `--base ""` work; a repeated option
+keeps its last value, and integers are read with `int()`.  `--help` wins over
+a bad or missing value but not over an unknown option.  Everything is
+written with `print`, to `sys.stdout` and `sys.stderr` as they are at the
+time of the call.
+
 Exit codes: 0 success, 1 usage error, 2 bad spec (including a column whose
 entries are not positive or do not sum to 1), 3 domain error (value out of
 range, digit word hits a gap, division by a length that is not bounded away
@@ -15,11 +25,8 @@ from zero).
 """
 from __future__ import annotations
 
-import functools
 import json
 import sys
-
-import click
 
 from .cylinders import cylinder, cylinder_bounds, metric_ratio, placement
 from .encoder import encode, theorem_check
@@ -29,6 +36,16 @@ from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
+_WIDTH = 78  # help screens wrap here, whatever the terminal's width
+
+
+class _UsageError(Exception):
+    """A bad command line (exit 1). It is printed after the usage lines
+    unless `usage` is false."""
+
+    def __init__(self, message: str, usage: bool = True):
+        super().__init__(message)
+        self.usage = usage
 
 
 def _parse_digits(text: str, allow_empty: bool = False) -> tuple:
@@ -36,18 +53,18 @@ def _parse_digits(text: str, allow_empty: bool = False) -> tuple:
     if not text:
         if allow_empty:
             return ()
-        raise click.UsageError("expected a comma-separated digit list")
+        raise _UsageError("expected a comma-separated digit list")
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"bad digit list {text!r}") from None
+        raise _UsageError(f"bad digit list {text!r}") from None
 
 
 def _rational_arg(text: str):
     try:
         return parse_rational(text)
     except VarsignError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
 
 
 def _text(value) -> str:
@@ -73,46 +90,9 @@ def _render(doc: dict) -> None:
             lines.extend("  " + _text(v) for v in value)
         else:
             lines.append(f"{key}: {_text(value)}")
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
-_spec_option = click.option(
-    "--spec", "spec_path", required=True, metavar="FILE",
-    help="JSON system description.")
-_depth_option = click.option(
-    "--depth", default=DEFAULT_DEPTH, show_default=True,
-    help="Positions of exact expansion before certified tail bounds.")
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text",
-    show_default=True, help="Human-readable text or one JSON document.")
-
-
-@click.group()
-def cli():
-    """Exact arithmetic for sign-variable positional number systems."""
-
-
-def _command(name: str):
-    """Register `body(system, depth, **own_options)`, which returns its
-    document or (document, exit code), as command `name` with the common
-    options in front of its own."""
-    def register(body):
-        # wraps carries over the body's docstring (the help) and own options.
-        @functools.wraps(body)
-        def run(spec_path, depth, fmt, **options):
-            result = body(load_spec(spec_path), depth, **options)
-            doc, code = result if isinstance(result, tuple) else (result, 0)
-            doc["command"] = name
-            if fmt == "machine":
-                click.echo(json.dumps(doc, sort_keys=True))
-            else:
-                _render(doc)
-            return code
-        return cli.command(name)(_spec_option(_depth_option(_format_option(run))))
-    return register
-
-
-@_command("validate")
 def validate(system, depth):
     """Certify that the product of column sup-entries vanishes."""
     report = system.validate(depth)
@@ -126,7 +106,6 @@ def validate(system, depth):
     }
 
 
-@_command("range")
 def range_cmd(system, depth):
     """Enclose the least and greatest representable values."""
     lo, hi = value_range(system, depth)
@@ -137,9 +116,6 @@ def range_cmd(system, depth):
     }
 
 
-@_command("eval")
-@click.option("--digits", required=True, metavar="D1,D2,...",
-              help="Digit word, most significant first.")
 def eval_cmd(system, depth, digits):
     """Evaluate a digit word: exact prefix value plus a value enclosure."""
     w = word(system, _parse_digits(digits))
@@ -153,13 +129,6 @@ def eval_cmd(system, depth, digits):
     }
 
 
-@_command("encode")
-@click.option("--x", "target", required=True, metavar="P/Q",
-              help="Rational value to encode.")
-@click.option("--tol", default=DEFAULT_TOLERANCE, show_default=True,
-              metavar="P/Q", help="Stop once the residual is this narrow.")
-@click.option("--max-len", default=64, show_default=True,
-              help="Digit budget before giving up.")
 def encode_cmd(system, depth, target, tol, max_len):
     """Greedily pick digits whose cylinders keep containing x."""
     x = _rational_arg(target)
@@ -175,17 +144,12 @@ def encode_cmd(system, depth, target, tol, max_len):
     }
     if result.status != "gap":
         return doc
-    click.echo(f"gap: no digit at position {result.gap_position} after the "
-               f"chosen prefix has a hull that contains {doc['x']}; other "
-               "prefixes were not searched", err=True)
+    print(f"gap: no digit at position {result.gap_position} after the "
+          f"chosen prefix has a hull that contains {doc['x']}; other "
+          "prefixes were not searched", file=sys.stderr)
     return doc, 3
 
 
-@_command("cylinder")
-@click.option("--base", required=True, metavar="D1,D2,...",
-              help="Digit word naming the cylinder.")
-@click.option("--table-limit", default=8, show_default=True,
-              help="How many child ratios to tabulate.")
 def cylinder_cmd(system, depth, base, table_limit):
     """Report cylinder endpoints, length, and child length ratios."""
     cyl = cylinder(system, _parse_digits(base))
@@ -209,11 +173,6 @@ def cylinder_cmd(system, depth, base, table_limit):
     }
 
 
-@_command("placement")
-@click.option("--base", default="", metavar="D1,D2,...",
-              help="Digit word before the compared position (may be empty).")
-@click.option("--digit", required=True, type=int,
-              help="Lower digit of the adjacent pair.")
 def placement_cmd(system, depth, base, digit):
     """Compare the cylinders of consecutive digits at one position."""
     prefix = _parse_digits(base, allow_empty=True)
@@ -235,9 +194,6 @@ def placement_cmd(system, depth, base, digit):
     }
 
 
-@_command("theorem")
-@click.option("--rank", default=8, show_default=True,
-              help="Check adjacent pairs at positions 1..rank.")
 def theorem_cmd(system, depth, rank):
     """Check the interval-filling condition on adjacent digit pairs."""
     verdict = theorem_check(system, rank, tail_depth=read_depth(depth, rank))
@@ -262,22 +218,226 @@ def theorem_cmd(system, depth, rank):
     }
 
 
+# An option is (flag, kind, default, help). Its kind is `int`, a tuple of
+# choices, or the metavar of a text value; a default of None makes it required.
+_COMMON = (
+    ("--spec", "FILE", None, "JSON system description."),
+    ("--depth", int, DEFAULT_DEPTH,
+     "Positions of exact expansion before certified tail bounds."),
+    ("--format", ("text", "machine"), "text",
+     "Human-readable text or one JSON document."),
+)
+
+# command -> (body, its own options). The body is called with the loaded
+# system, the depth and its own options' values in this order, and returns
+# its document or (document, exit code).
+_COMMANDS = {
+    "validate": (validate, ()),
+    "range": (range_cmd, ()),
+    "eval": (eval_cmd, (
+        ("--digits", "D1,D2,...", None, "Digit word, most significant first."),
+    )),
+    "encode": (encode_cmd, (
+        ("--x", "P/Q", None, "Rational value to encode."),
+        ("--tol", "P/Q", DEFAULT_TOLERANCE, "Stop once the residual is this narrow."),
+        ("--max-len", int, 64, "Digit budget before giving up."),
+    )),
+    "cylinder": (cylinder_cmd, (
+        ("--base", "D1,D2,...", None, "Digit word naming the cylinder."),
+        ("--table-limit", int, 8, "How many child ratios to tabulate."),
+    )),
+    "placement": (placement_cmd, (
+        ("--base", "D1,D2,...", "",
+         "Digit word before the compared position (may be empty)."),
+        ("--digit", int, None, "Lower digit of the adjacent pair."),
+    )),
+    "theorem": (theorem_cmd, (
+        ("--rank", int, 8, "Check adjacent pairs at positions 1..rank."),
+    )),
+}
+_SUMMARY = "Exact arithmetic for sign-variable positional number systems."
+_HELP = ("--help", "Show this message and exit.")
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "Usage: varsign [OPTIONS] COMMAND [ARGS]..."
+    return f"Usage: varsign {command} [OPTIONS]"
+
+
+def _definitions(rows) -> list:
+    """(term, text) rows as two columns: terms padded to the longest plus
+    two spaces, text wrapped in the rest of the width."""
+    import textwrap  # only help screens wrap, so start-up does not pay for it
+
+    first = max(len(term) for term, _ in rows) + 2
+    lines = []
+    for term, text in rows:
+        head, *tail = textwrap.wrap(text, _WIDTH - first - 2)
+        lines.append(f"  {term:<{first}}{head}")
+        lines.extend(" " * (first + 2) + line for line in tail)
+    return lines
+
+
+def _short(text: str, limit: int) -> str:
+    """`text` cut at a word boundary, with "...", to at most `limit` columns."""
+    if len(text) <= limit:
+        return text
+    return text[:limit - 2].rsplit(" ", 1)[0] + "..."
+
+
+def _option_row(flag, kind, default, text) -> tuple:
+    if kind is int:
+        kind = "INTEGER"
+    elif isinstance(kind, tuple):
+        kind = f"[{'|'.join(kind)}]"
+    if default is None:
+        text += "  [required]"
+    elif default != "":
+        text += f"  [default: {default}]"
+    return f"{flag} {kind}", text
+
+
+def _help(command=None) -> str:
+    """The help screen of `command`, or of the program when it is None."""
+    if command is None:
+        summary = _SUMMARY
+        limit = _WIDTH - 6 - max(map(len, _COMMANDS))
+        sections = {"Options": [_HELP], "Commands": [
+            (name, _short(_COMMANDS[name][0].__doc__, limit))
+            for name in sorted(_COMMANDS)]}
+    else:
+        body, own = _COMMANDS[command]
+        summary = body.__doc__
+        options = [_option_row(*option) for option in (*_COMMON, *own)]
+        sections = {"Options": [*options, _HELP]}
+    lines = [_usage(command), "", f"  {summary}"]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:", *_definitions(rows)]
+    return "\n".join(lines)
+
+
+def _option(arg: str, rest, options: dict) -> tuple:
+    """(flag, value) of the option token `arg`. The value follows `=` or is
+    the next token of `rest`, whatever it looks like; --help has none."""
+    flag, eq, value = arg.partition("=")
+    if flag == "--help":
+        if eq:
+            raise _UsageError("Option '--help' does not take a value.", usage=False)
+        return flag, None
+    if flag not in options:
+        # An unknown token with one dash reads as a cluster of one-letter
+        # options, and its first letter is the one reported.
+        raise _UsageError(f"No such option '{flag if arg[1] == '-' else arg[:2]}'.")
+    if not eq:
+        value = next(rest, None)
+        if value is None:
+            raise _UsageError(f"Option '{flag}' requires an argument.", usage=False)
+    return flag, value
+
+
+def _is_option(arg: str) -> bool:
+    return arg[:1] == "-" and arg != "-"
+
+
+def _value(flag: str, kind, text: str):
+    """An option's text as its kind's value."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"Invalid value for '{flag}': {text!r} is not a "
+                              "valid integer.") from None
+    if isinstance(kind, tuple) and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise _UsageError(f"Invalid value for '{flag}': {text!r} is not one "
+                          f"of {choices}.")
+    return text
+
+
+def _run(command: str, args: list) -> int:
+    """Parse a command's arguments, run its body and print its document.
+    Errors come in click's order: the argv loop's own, then --help, then
+    each given value in the order first given, then a missing required
+    option, then extra arguments."""
+    body, own = _COMMANDS[command]
+    options = {option[0]: option for option in (*_COMMON, *own)}
+    given, extra, wants_help = {}, [], False
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            extra.extend(rest)
+        elif not _is_option(arg):
+            extra.append(arg)
+        else:
+            flag, value = _option(arg, rest, options)
+            if value is None:
+                wants_help = True
+            else:
+                given[flag] = value  # the last value wins, in its first place
+    if wants_help:
+        print(_help(command))
+        return 0
+    values = {flag: _value(flag, options[flag][1], text) for flag, text in given.items()}
+    for flag, _, default, _ in options.values():
+        if flag not in values:
+            if default is None:
+                raise _UsageError(f"Missing option '{flag}'.")
+            values[flag] = default
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    result = body(load_spec(values["--spec"]), values["--depth"],
+                  *(values[option[0]] for option in own))
+    doc, code = result if isinstance(result, tuple) else (result, 0)
+    doc["command"] = command
+    if values["--format"] == "machine":
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        _render(doc)
+    return code
+
+
 def main(argv=None) -> int:
-    """Run the CLI without letting click call sys.exit directly."""
+    """Run one command line (by default `sys.argv[1:]`) and return its exit
+    code, printing to the current `sys.stdout` and `sys.stderr`."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if not args:
+        print(_help(), file=sys.stderr)
+        return 1
+    command = name = None
     try:
-        result = cli.main(args=argv, prog_name="varsign", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
+        # The program's only option, --help, comes before the command name.
+        wants_help = False
+        rest = iter(args)
+        for arg in rest:
+            if not _is_option(arg):
+                name = arg
+                break
+            if arg != "--":
+                _option(arg, rest, {})  # raises unless it is --help
+                wants_help = True
+        if wants_help:
+            print(_help())
+            return 0
+        if name is None:
+            raise _UsageError("Missing command.")
+        if name not in _COMMANDS:
+            raise _UsageError(f"No such command {name!r}.")
+        command = name
+        return _run(command, list(rest))
+    except _UsageError as exc:
+        if exc.usage:
+            prog = "varsign" if command is None else f"varsign {command}"
+            print(f"{_usage(command)}\nTry '{prog} --help' for help.\n", file=sys.stderr)
+        print(f"Error: {exc}", file=sys.stderr)
         return 1
     except SpecError as exc:
-        click.echo(f"spec error: {exc}", err=True)
+        print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except VarsignError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
-    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

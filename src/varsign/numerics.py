@@ -10,6 +10,8 @@ of the operands, with no rounding anywhere.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +41,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical wire form "p/q" (reduced, q > 0), e.g. "0/1", "-5/3"."""
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical wire form "p/q" (reduced, q > 0), e.g. "0/1", "-5/3".
+
+    Raises DomainError when a part has more decimal digits than Python's
+    int-to-str limit (`sys.get_int_max_str_digits()`) allows."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        raise DomainError(
+            f"rational of about {int(bits * math.log10(2)) + 1} decimal digits "
+            f"exceeds the int-to-str limit of {sys.get_int_max_str_digits()} "
+            "digits") from None
 
 
 @dataclass(frozen=True)

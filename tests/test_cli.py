@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -238,13 +240,18 @@ CONTRACT = [
      '"lo": "-7/12"}, "status": "gap", "tolerance": "1/1073741824", "x": "-1/12"}\n',
      "gap: no digit at position 1 after the chosen prefix has a hull that contains -1/12; "
      "other prefixes were not searched\n"),
+    # A value past Python's int-to-str limit is a domain error, not a traceback.
+    (["eval", "--spec", NEGA, "--digits", ",".join(["1"] * 20000)], 3, "",
+     "error: rational of about 6021 decimal digits exceeds the int-to-str limit "
+     f"of {sys.get_int_max_str_digits()} digits\n"),
 ]
 
 
 def row_id(argv):
-    """The row's argv with spec paths cut to their file names."""
-    return " ".join(re.sub(r"[^=]*/(?=[^/]*\.json$)", "", a)
-                    for a in argv) or "(no arguments)"
+    """The row's argv with spec paths cut to their file names and long
+    arguments shortened."""
+    args = (re.sub(r"[^=]*/(?=[^/]*\.json$)", "", a) for a in argv)
+    return " ".join(a if len(a) <= 30 else a[:24] + "..." for a in args) or "(no arguments)"
 
 
 @pytest.mark.parametrize("argv, code, out, err", CONTRACT,
@@ -254,3 +261,18 @@ def test_argv_contract(capsys, argv, code, out, err):
     # An option-name suggestion ("Did you mean ...?") is not part of the contract.
     got_err = re.sub(r" \(?Did you mean .*\?\)?$", "", got_err, flags=re.M)
     assert (got_code, got_out, got_err) == (code, out, err)
+
+
+def test_import_loads_only_the_standard_library():
+    """The CLI has no runtime dependency: importing it in a fresh interpreter
+    adds no top-level module outside the standard library except varsign.
+    Only the modules the import adds are checked, since site hooks of the
+    installation may load others at start-up."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import varsign.cli\n"
+              "print(*{m.partition('.')[0] for m in set(sys.modules) - before})\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert set(done.stdout.split()) - set(sys.stdlib_module_names) == {"varsign"}

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,17 @@ def test_rational_roundtrip(x):
 def test_format_always_shows_denominator():
     assert format_rational(Fraction(2)) == "2/1"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+
+def test_format_refuses_parts_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-to-str conversion is unlimited in this interpreter")
+    assert format_rational(Fraction(-(10 ** limit - 1), 3)) == f"-{'3' * limit}/1"
+    with pytest.raises(DomainError, match=(
+            f"^rational of about {limit + 2} decimal digits exceeds the "
+            f"int-to-str limit of {limit} digits$")):
+        format_rational(Fraction(1, 10 ** (limit + 1)))
 
 
 def test_enclosure_orientation():
