@@ -265,27 +265,6 @@ def _usage(command) -> str:
     return f"Usage: varsign {command} [OPTIONS]"
 
 
-def _definitions(rows) -> list:
-    """(term, text) rows as two columns: terms padded to the longest plus
-    two spaces, text wrapped in the rest of the width."""
-    import textwrap  # only help screens wrap, so start-up does not pay for it
-
-    first = max(len(term) for term, _ in rows) + 2
-    lines = []
-    for term, text in rows:
-        head, *tail = textwrap.wrap(text, _WIDTH - first - 2)
-        lines.append(f"  {term:<{first}}{head}")
-        lines.extend(" " * (first + 2) + line for line in tail)
-    return lines
-
-
-def _short(text: str, limit: int) -> str:
-    """`text` cut at a word boundary, with "...", to at most `limit` columns."""
-    if len(text) <= limit:
-        return text
-    return text[:limit - 2].rsplit(" ", 1)[0] + "..."
-
-
 def _option_row(flag, kind, default, text) -> tuple:
     if kind is int:
         kind = "INTEGER"
@@ -300,11 +279,13 @@ def _option_row(flag, kind, default, text) -> tuple:
 
 def _help(command=None) -> str:
     """The help screen of `command`, or of the program when it is None."""
+    import textwrap  # only help screens wrap, so start-up does not pay for it
+
     if command is None:
         summary = _SUMMARY
         limit = _WIDTH - 6 - max(map(len, _COMMANDS))
         sections = {"Options": [_HELP], "Commands": [
-            (name, _short(_COMMANDS[name][0].__doc__, limit))
+            (name, textwrap.shorten(_COMMANDS[name][0].__doc__, limit, placeholder="..."))
             for name in sorted(_COMMANDS)]}
     else:
         body, own = _COMMANDS[command]
@@ -313,7 +294,13 @@ def _help(command=None) -> str:
         sections = {"Options": [*options, _HELP]}
     lines = [_usage(command), "", f"  {summary}"]
     for heading, rows in sections.items():
-        lines += ["", f"{heading}:", *_definitions(rows)]
+        # Two columns: terms padded to the longest plus two spaces, and
+        # text wrapped in the rest of the width.
+        first = max(len(term) for term, _ in rows) + 2
+        lines += ["", f"{heading}:"]
+        lines += [textwrap.fill(text, _WIDTH, initial_indent=f"  {term:<{first}}",
+                                subsequent_indent=" " * (first + 2))
+                  for term, text in rows]
     return "\n".join(lines)
 
 
@@ -355,15 +342,15 @@ def _value(flag: str, kind, text: str):
     return text
 
 
-def _run(command: str, args: list) -> int:
-    """Parse a command's arguments, run its body and print its document.
-    Errors come in click's order: the argv loop's own, then --help, then
+def _run(command: str, rest) -> int:
+    """Parse a command's arguments (the iterator `rest`), run its body and
+    print its document.
+    Errors are reported in this order: the argv loop's own, then --help, then
     each given value in the order first given, then a missing required
     option, then extra arguments."""
     body, own = _COMMANDS[command]
     options = {option[0]: option for option in (*_COMMON, *own)}
     given, extra, wants_help = {}, [], False
-    rest = iter(args)
     for arg in rest:
         if arg == "--":
             extra.extend(rest)
@@ -378,7 +365,8 @@ def _run(command: str, args: list) -> int:
     if wants_help:
         print(_help(command))
         return 0
-    values = {flag: _value(flag, options[flag][1], text) for flag, text in given.items()}
+    values = {flag: _value(flag, options[flag][1], text)
+              for flag, text in given.items()}
     for flag, _, default, _ in options.values():
         if flag not in values:
             if default is None:
@@ -425,7 +413,7 @@ def main(argv=None) -> int:
         if name not in _COMMANDS:
             raise _UsageError(f"No such command {name!r}.")
         command = name
-        return _run(command, list(rest))
+        return _run(command, rest)
     except _UsageError as exc:
         if exc.usage:
             prog = "varsign" if command is None else f"varsign {command}"

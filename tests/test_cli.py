@@ -16,6 +16,9 @@ def preset(name: str) -> str:
     return os.path.join(PRESETS, name)
 
 
+NEGA = preset("nega-binary.json")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -128,6 +131,18 @@ def test_theorem_command(capsys):
     assert doc["failure"] == {"digit": 0, "position": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["cylinder", "--base", "1,0,1"],
+    ["placement", "--base", "1,0,1", "--digit", "0"],
+])
+def test_depth_reaches_past_the_compared_position(capsys, argv):
+    # Both commands read tails at position len(base) + 1, so the depth is
+    # raised to len(base) + 3 however small --depth is.
+    code, out, _ = run(capsys, *argv, "--spec", NEGA, "--depth", "1", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["depth"] == 6
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 1
@@ -153,7 +168,6 @@ def test_machine_output_deterministic(capsys):
 
 
 HELP = os.path.join(os.path.dirname(__file__), "golden", "help")
-NEGA = preset("nega-binary.json")
 MISSING = "/does/not/exist.json"
 
 
@@ -190,6 +204,8 @@ CONTRACT = [
      '"orientation": "right-to-left", "overlap_class": "one-point", "position": 1}\n', ""),
     (["placement", "--spec", NEGA, "--digit", "-1"], 3, "",
      "error: adjacent pair (-1, 0) invalid at position 1\n"),
+    (["cylinder", "--spec", NEGA, "--base", ""], 1, "",
+     usage_error("cylinder", "expected a comma-separated digit list")),
     (["range", "--spec", NEGA, "--depth", "--help"], 1, "", usage_error(
         "range", "Invalid value for '--depth': '--help' is not a valid integer.")),
     # A repeated option takes its last value.
@@ -203,9 +219,11 @@ CONTRACT = [
     (["eval", "--spec", NEGA], 1, "", usage_error("eval", "Missing option '--digits'.")),
     (["validate", "--spec"], 1, "", "Error: Option '--spec' requires an argument.\n"),
     (["range", "--help", "--depth"], 1, "", "Error: Option '--depth' requires an argument.\n"),
+    (["range", "--help=1"], 1, "", "Error: Option '--help' does not take a value.\n"),
     (["validate", "--spec", NEGA, "--bogus"], 1, "",
      usage_error("validate", "No such option '--bogus'.")),
     (["validate", "-h"], 1, "", usage_error("validate", "No such option '-h'.")),
+    (["validate", "-xyz"], 1, "", usage_error("validate", "No such option '-x'.")),
     (["validate", "--version"], 1, "", usage_error("validate", "No such option '--version'.")),
     (["--version"], 1, "", usage_error(None, "No such option '--version'.")),
     (["validate", "--sp", NEGA], 1, "", usage_error("validate", "No such option '--sp'.")),
@@ -213,11 +231,17 @@ CONTRACT = [
      usage_error("validate", "Got unexpected extra argument (x)")),
     (["validate", "--spec", NEGA, "--", "x"], 1, "",
      usage_error("validate", "Got unexpected extra argument (x)")),
+    (["validate", "--spec", NEGA, "-"], 1, "",
+     usage_error("validate", "Got unexpected extra argument (-)")),
+    (["validate", "--spec", NEGA, "x", "--", "--help"], 1, "",
+     usage_error("validate", "Got unexpected extra arguments (x --help)")),
     (["range", "--spec", NEGA, "--depth", "abc"], 1, "", usage_error(
         "range", "Invalid value for '--depth': 'abc' is not a valid integer.")),
     (["range", "--spec", NEGA, "--format", "xml"], 1, "", usage_error(
         "range", "Invalid value for '--format': 'xml' is not one of 'text', 'machine'.")),
     (["nonsense"], 1, "", usage_error(None, "No such command 'nonsense'.")),
+    (["--"], 1, "", usage_error(None, "Missing command.")),
+    (["--", "range", "--spec", NEGA, "--format", "machine"], 0, RANGE_DEPTH_40, ""),
     (["eval", "--spec", NEGA, "--digits", "1,x"], 1, "",
      usage_error("eval", "bad digit list '1,x'")),
     (["encode", "--spec", NEGA, "--x", "abc"], 1, "",
