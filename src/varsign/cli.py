@@ -344,10 +344,9 @@ def _value(flag: str, kind, text: str):
 
 def _run(command: str, rest) -> int:
     """Parse a command's arguments (the iterator `rest`), run its body and
-    print its document.
-    Errors are reported in this order: the argv loop's own, then --help, then
-    each given value in the order first given, then a missing required
-    option, then extra arguments."""
+    print its document. Errors are reported in this order: the argv loop's
+    own, then --help, then each given value in the order first given, then a
+    missing required option, then extra arguments."""
     body, own = _COMMANDS[command]
     options = {option[0]: option for option in (*_COMMON, *own)}
     given, extra, wants_help = {}, [], False
