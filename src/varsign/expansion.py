@@ -23,9 +23,18 @@ all: past the preperiod pre of the eventually periodic structure (columns
 and sign set together, period `period`), every seed takes the same branch,
 and an exact seed is the fixed point of the recursion over one period. So
 tails repeat with that period from pre on, and every exact query of a
-system is served from one canonical table at depth pre + period. A system
-whose seed is inexact, or a query shallower than pre + period, keeps one
-table per (system, depth).
+system is served from one canonical table at depth pre + period.
+
+The other queries (an inexact seed, or a query shallower than pre + period)
+rest on the reset rule. An infinite column's limit pair (weight 1, entry 0)
+drives one side of the tail, the low side on a marked position and the high
+side elsewhere, and pins that side's tail before it to exactly 1, whatever
+lies beyond. So a side's tail at n is the walk from its first reset past n,
+an exact point independent of the depth once that reset lies at or before
+the depth. Tails whose two sides both reset are kept by position, with the
+later reset, and serve every query at least that deep; only a position with
+a side that does not reset by the depth keeps one table per (system,
+depth).
 
 The prefix walk and the tail recursion read one step table per system: per
 position the term sign, a digit memo of the column's (weight, entry) pairs
@@ -39,7 +48,7 @@ This module is the only one that seeds, recurses or caches tails, and the
 only one that builds or reads step tables; the rest of the package reads
 them through `prefix_walk`, `prefix_weight` and `tail_bounds`, reads the
 tails at position n at the depth `read_depth` gives, and asks `tail_phase`
-which positions repeat one another. Both caches live in one record per
+which positions repeat one another. Its caches live in one record per
 system, keyed weakly, so they never keep a system alive.
 """
 from __future__ import annotations
@@ -212,23 +221,43 @@ class _SystemRecord:
     (`shared`), positions past pre + period read the record of their phase,
     and the table stops there; rule columns get one record per position.
 
-    The tail tables are {depth: {position: (lo, hi)}}, with the (pre,
-    period) of the structure and whether the seed at depth pre + period is
-    exact: None until a query at that depth or deeper decides it. Positions
-    are filled from a table's depth downward, so a table's last key is its
-    lowest position; every write stores the one exact value of its key, so
-    concurrent callers cannot corrupt a table.
+    The tail tables are {depth: `_Table`}, with the (pre, period) of the
+    structure and whether the seed at depth pre + period is exact: None
+    until a query at that depth or deeper decides it. `resets` maps a
+    position n to (r, tails): tails that hold at every depth >= r, because
+    each side resets at or before r (see `tail_bounds`). `infinite` is false
+    when no column is infinite, so that no side ever resets; rule columns
+    may always have one. Every write stores the one exact value of its key,
+    so concurrent callers cannot corrupt a table.
     """
 
-    __slots__ = ("steps", "memos", "shared", "tables", "pre", "period", "exact")
+    __slots__ = ("steps", "memos", "shared", "tables", "resets", "infinite",
+                 "pre", "period", "exact")
 
     def __init__(self, sys: DigitSystem):
+        periodic = sys.columns.periodicity()
         self.steps = ()
         self.memos = {}
-        self.shared = sys.columns.periodicity() is not None
+        self.shared = periodic is not None
         self.tables = {}
+        self.resets = {}
+        self.infinite = periodic is None or any(
+            sys.column(t).is_infinite for t in range(1, sum(periodic) + 1))
         self.pre, self.period = _structure_period(sys)
         self.exact = None
+
+
+class _Table(dict):
+    """The tails at one depth: position -> (lo, hi), seeded at the depth and
+    filled downward. Every position from `low` up to the depth is filled;
+    `low` moves down only after the positions it passes are written, so a
+    reader takes it in one step and always walks from a filled position."""
+
+    __slots__ = ("low",)
+
+    def __init__(self, depth: int, seed: tuple):
+        super().__init__({depth: seed})
+        self.low = depth
 
 
 # system -> _SystemRecord, weakly keyed so that the tables live exactly as
@@ -360,9 +389,19 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     n below pre and pre + (n - pre) % period from pre on. That is the same
     Fraction pair as at the caller's depth: from pre on every seed takes the
     same branch, and an exact seed is the fixed point of the recursion over
-    one period, so exact tails repeat with that period. Other queries use a
-    table per (system, depth). A table grows backward from its seed only as
-    far as the lowest position asked for.
+    one period, so exact tails repeat with that period.
+
+    Other queries rest on the reset rule: an infinite column's limit pair
+    (weight 1, entry 0) drives one side, and the walk restarts that side at
+    the point 1 there, whatever lies beyond. So a side's tail at n is the
+    walk from its first reset past n, an exact point that does not depend on
+    the depth once the reset lies at or before it. When both sides reset by
+    the depth, the pair is kept by position with the later of the two
+    resets, and a query at any depth from that reset on reads it. Otherwise
+    the query uses a table per (system, depth), which grows backward from
+    its seed only as far as the lowest position asked for. The first resets
+    are looked for only over the positions that the table's walk would read,
+    and not at all on systems without an infinite column.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")
@@ -375,23 +414,38 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
         if rec.exact is None:
             # Decided once, by a query that pays for pre + period steps.
             lo, hi = seed = _tail_seed(sys, canonical)
-            rec.exact = lo.is_point and hi.is_point
-            if rec.exact:
-                tables.setdefault(canonical, {canonical: seed})
+            exact = lo.is_point and hi.is_point
+            if exact:
+                tables.setdefault(canonical, _Table(canonical, seed))
+            rec.exact = exact
         if rec.exact:
             if n >= rec.pre:
                 n = rec.pre + (n - rec.pre) % rec.period
-            depth = canonical
+            return _table_walk(sys, tables[canonical], n)
+    known = rec.resets.get(n)
+    if known is not None and known[0] <= depth:
+        return known[1]
     table = tables.get(depth)
+    # The table's walk would read positions n + 1..bound: look for the
+    # resets there, unless no column can reset or n's resets lie too deep.
+    bound = depth if table is None else table.low
+    if n < bound and rec.infinite and known is None:
+        found = _reset_walk(sys, rec.resets, n, bound)
+        if found is not None:
+            return found
     if table is None:
-        table = tables[depth] = {depth: _tail_seed(sys, depth)}
+        table = tables[depth] = _Table(depth, _tail_seed(sys, depth))
+    return _table_walk(sys, table, n)
+
+
+def _table_walk(sys: DigitSystem, table: _Table, n: int) -> tuple:
+    """The tails at n from a table, walking both sides' magnitudes from its
+    lowest filled position down to n (`_side_walk`); only the stored entries
+    are reduced, the low side negated."""
     hit = table.get(n)
     if hit is not None:
         return hit
-    # Both sides walk their magnitudes from the lowest filled position down
-    # to n (`_side_walk`); only the stored entries are reduced, the low side
-    # negated.
-    t = next(reversed(table))
+    t = table.low
     lo, hi = table[t]
     steps = _steps(sys, t, n + 1)
     lows = _side_walk(steps, _LOW, *_over_common(-lo.hi, -lo.lo))
@@ -399,7 +453,36 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     for (m_lo, m_hi, m_den), high in zip(lows, highs):
         t -= 1
         table[t] = (_reduced(-m_hi, -m_lo, m_den), _reduced(*high))
+    if n < table.low:
+        table.low = n
     return table[n]
+
+
+def _reset_walk(sys: DigitSystem, resets: dict, n: int, bound: int):
+    """The tails at n when both sides reset at or before position `bound`,
+    else None. A side resets where an infinite column's limit pair drives
+    it: the low side on marked positions, the high side elsewhere (`_step`).
+    Only the columns up to the later first reset are asked for. Each side
+    walks from the point 1 before its first reset past n; every position
+    below both first resets has the same ones, so all of them are kept in
+    `resets`, with the later reset."""
+    firsts = {}
+    for t in range(n + 1, bound + 1):
+        if sys.column(t).is_infinite:
+            firsts.setdefault(_LOW if sys.signs.contains(t) else _HIGH, t)
+            if len(firsts) == 2:
+                break
+    else:
+        return None
+    steps = _steps(sys, t - 1, n + 1)
+    # walks[side][k] is the side's magnitude at position firsts[side] - 1 - k.
+    walks = {side: [(1, 1, 1), *_side_walk(steps[:first - 1 - n], side, 1, 1, 1)]
+             for side, first in firsts.items()}
+    for m in range(n, min(firsts.values())):
+        low, _, den = walks[_LOW][firsts[_LOW] - 1 - m]
+        high = walks[_HIGH][firsts[_HIGH] - 1 - m]
+        resets[m] = t, (_reduced(-low, -low, den), _reduced(*high))
+    return resets[n][1]
 
 
 def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:

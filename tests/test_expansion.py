@@ -8,7 +8,7 @@ from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from varsign import (
     ConstructionError,
@@ -481,34 +481,43 @@ def test_step_table_matches_the_fraction_routes():
 def test_step_table_survives_concurrent_extension():
     # Four threads walk and query tails on one cold system with a tiny
     # switch interval, each extending the table a few positions per word,
-    # so that their extensions interleave.
+    # so that their extensions interleave. On example-b the tails fill the
+    # canonical table; on example-a they fill the reset cache and, past
+    # position 166, the table at depth 170. An exception in a thread is
+    # kept and fails the test, as a wrong answer does.
     rng = random.Random(SEED + 16)
-    base = make_classic(example_b())
-    words = [random_word_digits(rng, base, n) for n in range(1, 160, 3)]
-    expected = [walk_prefix(base, digits) for digits in words]
-    tails = reference_tail_bounds(base, 170)
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        for _ in range(10):
-            shared = DigitSystem(base.signs, base.columns)
-            wrong = []
+        for base in (make_classic(example_b()), make_classic(example_a())):
+            words = [random_word_digits(rng, base, n) for n in range(1, 160, 3)]
+            expected = [walk_prefix(base, digits) for digits in words]
+            tails = reference_tail_bounds(base, 170)
+            positions = list(range(len(words))) + list(range(150, 170))
+            for _ in range(10):
+                shared = DigitSystem(base.signs, base.columns)
+                wrong, errors = [], []
 
-            def run(order):
-                for i in order:
-                    if prefix_walk(word(shared, words[i])) != expected[i]:
-                        wrong.append(i)
-                    if tail_bounds(shared, i, 170) != tails[i]:
-                        wrong.append(-i)
+                def run(order):
+                    try:
+                        for i in order:
+                            if (i < len(words)
+                                    and prefix_walk(word(shared, words[i])) != expected[i]):
+                                wrong.append(i)
+                            if tail_bounds(shared, i, 170) != tails[i]:
+                                wrong.append(-i)
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(repr(exc))
 
-            threads = [threading.Thread(target=run, args=(range(len(words)),))
-                       for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            assert not wrong
+                threads = [threading.Thread(target=run, args=(positions[::step],))
+                           for step in (1, -1, 1, -1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert not errors
+                assert not wrong
     finally:
         setswitchinterval(interval)
 
@@ -536,21 +545,125 @@ def test_step_table_reaches_a_rule_column_only_when_asked():
         assert tail_bounds(sys, 5, 29) == reference_tail_bounds(sys, 29)[5]
 
 
+def _check_depth_orders(sys, depths):
+    """Every n < D against the reference at each depth D, asked of four cold
+    copies: depths ascending or descending, and within a depth positions
+    ascending or descending. A pair kept from a deep query must not serve a
+    query shallower than its reset, and one kept from a shallow query must
+    serve every deeper one."""
+    expected = {depth: reference_tail_bounds(sys, depth) for depth in depths}
+    for depth_step, n_step in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        cold = DigitSystem(sys.signs, sys.columns)
+        for depth in sorted(depths)[::depth_step]:
+            for n in range(depth)[::n_step]:
+                assert tail_bounds(cold, n, depth) == expected[depth][n], (
+                    n, depth, depth_step, n_step)
+
+
+def _around_resets(sys, horizon):
+    """Depths 1 and `horizon`, and each depth just below, at and just above
+    a position up to `horizon` whose infinite column resets a side."""
+    depths = {1, horizon}
+    for t in range(1, horizon + 1):
+        if sys.column(t).is_infinite:
+            depths |= {t - 1, t, t + 1}
+    return depths - {0}
+
+
+def test_reset_tails_match_the_reference_on_the_examples():
+    # Example-a resets a side at every position (the high side on unmarked
+    # ones, the low side on marked ones from 5 on), so each depth is just
+    # below, at or above some reset. Position 8's sides reset at 9 and 11:
+    # its pair, kept from a deeper query, must not serve depths 9 and 10.
+    # Example-b resets only the high side, and geometric-halves resets a
+    # side at every position below its canonical depth.
+    halves = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "presets", "geometric-halves.json"))
+    for sys in (make_classic(example_a()), make_classic(example_b()), halves):
+        _check_depth_orders(sys, _around_resets(sys, 40) | {120})
+
+
+_FINITE = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+    lambda ws: FiniteColumn(tuple(Fraction(w, sum(ws)) for w in ws)))
+_GEOMETRIC = st.integers(1, 7).map(
+    lambda k: GeometricColumn(1 - Fraction(k, 8), Fraction(k, 8)))
+
+
+@st.composite
+def _mixed_columns(draw):
+    """A provider over finite (sorted, unsorted or singleton) and geometric
+    columns, at least one of each: listed and cycled or repeating the last,
+    or a rule cycling them, with the vanishing claim when it holds."""
+    cols = draw(st.lists(st.one_of(_FINITE, _GEOMETRIC), max_size=4))
+    cols = draw(st.permutations(cols + [draw(_FINITE), draw(_GEOMETRIC)]))
+    shape = draw(st.sampled_from(("cycle", "repeat-last", "rule")))
+    if shape != "rule":
+        return ListColumns(tuple(cols), shape)
+    return RuleColumns(lambda n: cols[(n - 1) % len(cols)],
+                       vanishing_product=all(col.sup_entry < 1 for col in cols))
+
+
+@pytest.mark.parametrize("rule", SIGN_KINDS)
+@settings(max_examples=20)
+@given(columns=_mixed_columns())
+def test_reset_tails_match_the_reference_on_mixed_columns(rule, columns):
+    sys = DigitSystem(build_signs(rule), columns)
+    _check_depth_orders(sys, _around_resets(sys, 24))
+
+
+class _CountingColumns:
+    """A column provider that forwards to `inner` and records every
+    position asked for. A position past `last` fails the test at once,
+    before a runaway walk builds its columns."""
+
+    def __init__(self, inner, last=None):
+        self.inner, self.last, self.asked = inner, last, []
+
+    def column(self, n):
+        assert self.last is None or n <= self.last, f"asked for column {n}"
+        self.asked.append(n)
+        return self.inner.column(n)
+
+    def periodicity(self):
+        return self.inner.periodicity()
+
+    def claims_vanishing_product(self):
+        return self.inner.claims_vanishing_product()
+
+
+def test_reset_tails_ask_no_column_past_both_first_resets():
+    # Example-a's high side resets at position 1 (unmarked) and its low side
+    # at 5, the first marked position, so the range is exact from depth 5
+    # on: a query at depth 10^6 asks for no column past 5, and one at depth
+    # 5 reads the pair it kept, with no table.
+    base = make_classic(example_a())
+    cols = _CountingColumns(base.columns, last=5)
+    sys = DigitSystem(base.signs, cols)
+    assert value_range(sys, 10 ** 6) == reference_tail_bounds(base, 5)[0]
+    assert max(cols.asked) == 5
+    assert value_range(sys, 5) == value_range(sys, 10 ** 6)
+    assert not expansion._RECORDS[sys].tables
+
+
 @pytest.mark.parametrize("signs", [
     SignSet.from_list([50]),
     SignSet.residue_classes(10 ** 12, (0,)),
 ])
 def test_shallow_queries_keep_per_depth_tables(signs):
     # pre + period exceeds the depth: no decision is made, and the queries
-    # fill one table of at most depth + 1 entries.
-    sys = DigitSystem(signs, ListColumns((uniform_column(2),)))
-    expected = reference_tail_bounds(sys, 40)
+    # fill one table of at most depth + 1 entries, down to position 0. No
+    # column is infinite, so no reset is looked for: the walk asks for each
+    # column from 2 to 40 once.
+    cols = _CountingColumns(ListColumns((uniform_column(2),)))
+    sys = DigitSystem(signs, cols)
+    expected = reference_tail_bounds(DigitSystem(signs, cols.inner), 40)
     for n in reversed(range(40)):
         assert tail_bounds(sys, n, 40) == expected[n]
     tails = expansion._RECORDS[sys]
     assert tails.pre + tails.period > 40 and tails.exact is None
     assert list(tails.tables) == [40]
-    assert len(tails.tables[40]) <= 41
+    assert len(tails.tables[40]) <= 41 and tails.tables[40].low == 0
+    assert all(cols.asked.count(t) == 1 for t in range(2, 41))
 
 
 def test_exact_queries_share_one_canonical_table():
