@@ -19,9 +19,9 @@ written with `print`, to `sys.stdout` and `sys.stderr` as they are at the
 time of the call.
 
 Exit codes: 0 success, 1 usage error, 2 bad spec (including a column whose
-entries are not positive or do not sum to 1), 3 domain error (value out of
-range, digit word hits a gap, division by a length that is not bounded away
-from zero).
+entries are not positive or do not sum to 1) or a `--depth` above MAX_DEPTH,
+3 domain error (value out of range, digit word hits a gap, division by a
+length that is not bounded away from zero).
 """
 from __future__ import annotations
 
@@ -36,16 +36,20 @@ from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
+# The ceiling on --depth, refused before the spec loads. At it the slowest
+# preset command (`validate` on example-b) takes about 0.7 s.
+MAX_DEPTH = 20_000
 _WIDTH = 78  # help screens wrap here, whatever the terminal's width
 
 
 class _UsageError(Exception):
-    """A bad command line (exit 1). It is printed after the usage lines
-    unless `usage` is false."""
+    """A bad command line (exit `code`, 1 unless given). It is printed after
+    the usage lines unless `usage` is false."""
 
-    def __init__(self, message: str, usage: bool = True):
+    def __init__(self, message: str, usage: bool = True, code: int = 1):
         super().__init__(message)
         self.usage = usage
+        self.code = code
 
 
 def _parse_digits(text: str, allow_empty: bool = False) -> tuple:
@@ -331,10 +335,14 @@ def _value(flag: str, kind, text: str):
     """An option's text as its kind's value."""
     if kind is int:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise _UsageError(f"Invalid value for '{flag}': {text!r} is not a "
                               "valid integer.") from None
+        if flag == "--depth" and value > MAX_DEPTH:
+            raise _UsageError(f"Invalid value for '--depth': {value} is above the "
+                              f"ceiling of {MAX_DEPTH}.", usage=False, code=2)
+        return value
     if isinstance(kind, tuple) and text not in kind:
         choices = ", ".join(map(repr, kind))
         raise _UsageError(f"Invalid value for '{flag}': {text!r} is not one "
@@ -418,7 +426,7 @@ def main(argv=None) -> int:
             prog = "varsign" if command is None else f"varsign {command}"
             print(f"{_usage(command)}\nTry '{prog} --help' for help.\n", file=sys.stderr)
         print(f"Error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from varsign import parse_enclosure, parse_rational
-from varsign.cli import main
+from varsign.cli import MAX_DEPTH, main
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
@@ -264,6 +264,16 @@ CONTRACT = [
      '"lo": "-7/12"}, "status": "gap", "tolerance": "1/1073741824", "x": "-1/12"}\n',
      "gap: no digit at position 1 after the chosen prefix has a hull that contains -1/12; "
      "other prefixes were not searched\n"),
+    # A --depth above MAX_DEPTH exits 2 before the spec loads; --help still wins.
+    (["range", "--spec", NEGA, "--depth", str(MAX_DEPTH + 1)], 2, "",
+     f"Error: Invalid value for '--depth': {MAX_DEPTH + 1} is above the ceiling "
+     f"of {MAX_DEPTH}.\n"),
+    (["validate", "--spec", MISSING, f"--depth={MAX_DEPTH + 1}"], 2, "",
+     f"Error: Invalid value for '--depth': {MAX_DEPTH + 1} is above the ceiling "
+     f"of {MAX_DEPTH}.\n"),
+    (["range", "--spec", NEGA, "--depth", "9" * 29], 2, "",
+     f"Error: Invalid value for '--depth': {'9' * 29} is above the ceiling of {MAX_DEPTH}.\n"),
+    (["theorem", "--depth", str(MAX_DEPTH + 1), "--help"], 0, help_screen("theorem"), ""),
     # A value past Python's int-to-str limit is a domain error, not a traceback.
     (["eval", "--spec", NEGA, "--digits", ",".join(["1"] * 20000)], 3, "",
      "error: rational of about 6021 decimal digits exceeds the int-to-str limit "
