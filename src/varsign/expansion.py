@@ -32,9 +32,8 @@ side elsewhere, and pins that side's tail before it to exactly 1, whatever
 lies beyond. So a side's tail at n is the walk from its first reset past n,
 an exact point independent of the depth once that reset lies at or before
 the depth. Tails whose two sides both reset are kept by position, with the
-later reset, and serve every query at least that deep; only a position with
-a side that does not reset by the depth keeps one table per (system,
-depth).
+later reset, and serve every query at least that deep. The other queries
+read one table per (system, depth).
 
 The prefix walk and the tail recursion read one step table per system: per
 position the term sign, a digit memo of the column's (weight, entry) pairs
@@ -395,13 +394,14 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     (weight 1, entry 0) drives one side, and the walk restarts that side at
     the point 1 there, whatever lies beyond. So a side's tail at n is the
     walk from its first reset past n, an exact point that does not depend on
-    the depth once the reset lies at or before it. When both sides reset by
-    the depth, the pair is kept by position with the later of the two
-    resets, and a query at any depth from that reset on reads it. Otherwise
-    the query uses a table per (system, depth), which grows backward from
-    its seed only as far as the lowest position asked for. The first resets
-    are looked for only over the positions that the table's walk would read,
-    and not at all on systems without an infinite column.
+    the depth once the reset lies at or before it. The first resets are
+    looked for over the positions that the table at this depth would walk:
+    n + 1 up to its lowest filled position, or up to the depth before the
+    table exists; not at all on systems without an infinite column. When
+    both sides reset there, the pair is kept by position with the later of
+    the two resets, and a query at any depth from that reset on reads it.
+    Otherwise the query uses the table per (system, depth), which grows
+    backward from its seed only as far as the lowest position asked for.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")

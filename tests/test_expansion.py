@@ -643,6 +643,26 @@ def test_reset_tails_ask_no_column_past_both_first_resets():
     assert max(cols.asked) == 5
     assert value_range(sys, 5) == value_range(sys, 10 ** 6)
     assert not expansion._RECORDS[sys].tables
+    # Listed columns reset as well: one geometric column, with only
+    # position 50 marked, resets the low side at 50, so a query shallower
+    # than pre + period = 51 keeps the range with reset 50 and no table.
+    listed = DigitSystem(SignSet.from_list([50]), ListColumns(
+        (GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
+    assert value_range(listed, 50) == reference_tail_bounds(listed, 50)[0]
+    rec = expansion._RECORDS[listed]
+    assert rec.resets[0][0] == 50 and not rec.tables
+
+
+def test_example_a_resets_within_three_positions():
+    # From position 5 on, marks come in pairs, so any three consecutive
+    # positions from 3 on hold a marked and an unmarked one: both sides of
+    # the tail at n >= 2 reset by n + 3, and the stream (n, n + 3) is served
+    # without a table. Asked from the top down, each query finds its own two
+    # resets, since a query keeps pairs only at its position and above.
+    sys = make_classic(example_a())
+    for n in reversed(range(2, 60)):
+        assert tail_bounds(sys, n, n + 3) == reference_tail_bounds(sys, n + 3)[n], n
+    assert not expansion._RECORDS[sys].tables
 
 
 @pytest.mark.parametrize("signs", [
