@@ -264,7 +264,10 @@ CONTRACT = [
      '"lo": "-7/12"}, "status": "gap", "tolerance": "1/1073741824", "x": "-1/12"}\n',
      "gap: no digit at position 1 after the chosen prefix has a hull that contains -1/12; "
      "other prefixes were not searched\n"),
-    # A --depth above MAX_DEPTH exits 2 before the spec loads; --help still wins.
+    # A --depth above MAX_DEPTH exits 2 before the spec loads; --help still
+    # wins. The ceiling itself is taken, on a system whose tails are cheap.
+    (["range", "--spec", NEGA, "--depth", str(MAX_DEPTH), "--format", "machine"], 0,
+     RANGE_DEPTH_7.replace('"depth": 7', f'"depth": {MAX_DEPTH}'), ""),
     (["range", "--spec", NEGA, "--depth", str(MAX_DEPTH + 1)], 2, "",
      f"Error: Invalid value for '--depth': {MAX_DEPTH + 1} is above the ceiling "
      f"of {MAX_DEPTH}.\n"),
