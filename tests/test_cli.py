@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from varsign import parse_enclosure, parse_rational
-from varsign.cli import MAX_DEPTH, main
+from varsign.cli import main
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
@@ -264,19 +264,18 @@ CONTRACT = [
      '"lo": "-7/12"}, "status": "gap", "tolerance": "1/1073741824", "x": "-1/12"}\n',
      "gap: no digit at position 1 after the chosen prefix has a hull that contains -1/12; "
      "other prefixes were not searched\n"),
-    # A --depth above MAX_DEPTH exits 2 before the spec loads; --help still
-    # wins. The ceiling itself is taken, on a system whose tails are cheap.
-    (["range", "--spec", NEGA, "--depth", str(MAX_DEPTH), "--format", "machine"], 0,
-     RANGE_DEPTH_7.replace('"depth": 7', f'"depth": {MAX_DEPTH}'), ""),
-    (["range", "--spec", NEGA, "--depth", str(MAX_DEPTH + 1)], 2, "",
-     f"Error: Invalid value for '--depth': {MAX_DEPTH + 1} is above the ceiling "
-     f"of {MAX_DEPTH}.\n"),
-    (["validate", "--spec", MISSING, f"--depth={MAX_DEPTH + 1}"], 2, "",
-     f"Error: Invalid value for '--depth': {MAX_DEPTH + 1} is above the ceiling "
-     f"of {MAX_DEPTH}.\n"),
+    # --depth is at most 20000, the documented ceiling: a larger value exits 2
+    # before the spec loads, and --help still wins. The ceiling itself is
+    # taken, on a system whose tails are cheap.
+    (["range", "--spec", NEGA, "--depth", "20000", "--format", "machine"], 0,
+     RANGE_DEPTH_7.replace('"depth": 7', '"depth": 20000'), ""),
+    (["range", "--spec", NEGA, "--depth", "20001"], 2, "",
+     "Error: Invalid value for '--depth': 20001 is above the ceiling of 20000.\n"),
+    (["validate", "--spec", MISSING, "--depth=20001"], 2, "",
+     "Error: Invalid value for '--depth': 20001 is above the ceiling of 20000.\n"),
     (["range", "--spec", NEGA, "--depth", "9" * 29], 2, "",
-     f"Error: Invalid value for '--depth': {'9' * 29} is above the ceiling of {MAX_DEPTH}.\n"),
-    (["theorem", "--depth", str(MAX_DEPTH + 1), "--help"], 0, help_screen("theorem"), ""),
+     f"Error: Invalid value for '--depth': {'9' * 29} is above the ceiling of 20000.\n"),
+    (["theorem", "--depth", "20001", "--help"], 0, help_screen("theorem"), ""),
     # A value past Python's int-to-str limit is a domain error, not a traceback.
     (["eval", "--spec", NEGA, "--digits", ",".join(["1"] * 20000)], 3, "",
      "error: rational of about 6021 decimal digits exceeds the int-to-str limit "
