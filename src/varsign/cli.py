@@ -37,7 +37,7 @@ from .specfile import load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
 # The ceiling on --depth, refused before the spec loads. At it the slowest
-# preset command (`validate` on example-b) takes about 0.7 s.
+# preset command, example-b `validate`, takes 0.7 s (CPython 3.11, x86-64).
 MAX_DEPTH = 20_000
 _WIDTH = 78  # help screens wrap here, whatever the terminal's width
 

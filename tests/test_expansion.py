@@ -482,9 +482,9 @@ def test_step_table_survives_concurrent_extension():
     # Four threads walk and query tails on one cold system with a tiny
     # switch interval, each extending the table a few positions per word,
     # so that their extensions interleave. On example-b the tails fill the
-    # canonical table; on example-a they fill the reset cache and, past
-    # position 166, the table at depth 170. An exception in a thread is
-    # kept and fails the test, as a wrong answer does.
+    # canonical table; on example-a they fill the reset cache and, near the
+    # depth, the table at depth 170. An exception in a thread is kept and
+    # fails the test, as a wrong answer does.
     rng = random.Random(SEED + 16)
     interval = getswitchinterval()
     setswitchinterval(1e-6)
@@ -575,8 +575,8 @@ def test_reset_tails_match_the_reference_on_the_examples():
     # ones, the low side on marked ones from 5 on), so each depth is just
     # below, at or above some reset. Position 8's sides reset at 9 and 11:
     # its pair, kept from a deeper query, must not serve depths 9 and 10.
-    # Example-b resets only the high side, and geometric-halves resets a
-    # side at every position below its canonical depth.
+    # Example-b resets only the high side; geometric-halves resets a side
+    # at every position, and reads its canonical table from depth 2 on.
     halves = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
                                     "presets", "geometric-halves.json"))
     for sys in (make_classic(example_a()), make_classic(example_b()), halves):
