@@ -16,7 +16,6 @@ from .classics import (
     mixed_sign,
     nega_cantor,
     nega_s_adic,
-    oracle_eval,
     s_adic,
 )
 from .cylinders import (
@@ -49,7 +48,6 @@ from .expansion import (
     DigitWord,
     eval_enclosure,
     eval_prefix,
-    eval_signed_product,
     prefix_walk,
     prefix_weight,
     tail_bounds,
@@ -65,6 +63,7 @@ from .numerics import (
     parse_rational,
     rat,
 )
+from .oracles import eval_signed_product, oracle_eval
 from .specfile import load_spec, parse_spec
 from .system import (
     CERTIFIED,

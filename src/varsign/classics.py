@@ -1,23 +1,21 @@
-"""Classical specializations built as ordinary digit systems, plus
-closed-form oracles for them.
+"""Classical specializations built as ordinary digit systems.
 
 A classic is its bases and its sign set: s-adic, nega-s-adic, Cantor,
 nega-Cantor and mixed-sign expansions are the general system with uniform
 columns of the given bases (the last repeating) and a fixed or given set of
 marked positions. The two paper examples are rule columns instead. The spec
-names of the classics and their parameters belong to `specfile`.
-
-The oracles evaluate digit words by direct power sums (no digit weights, no
-sign exponents, no tail machinery), so they are an independent route against
-which the generic evaluator is tested.
+names of the classics and their parameters belong to `specfile`. Their
+closed-form values, an independent route against which the generic
+evaluator is tested, are `oracles.oracle_eval`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError
 from .numerics import rat
+# Re-exported only because bench/workloads.py reads classics.oracle_eval.
+from .oracles import oracle_eval  # noqa: F401
 from .system import (
     DigitSystem,
     GeometricColumn,
@@ -121,43 +119,3 @@ def make_classic(kind: ClassicKind) -> DigitSystem:
     else:
         columns = ListColumns(tuple(uniform_column(q) for q in kind.qs))
     return DigitSystem(kind.signs, columns)
-
-
-def oracle_eval(kind: ClassicKind, digits) -> Fraction:
-    """Closed-form value of a digit word, by direct power sums only.
-
-    Each sum is read by Horner's rule: with value num / (b_1 * ... * b_n),
-    position n + 1 makes num * b_{n+1} + sign * d over b_1 * ... * b_{n+1},
-    where b is the base (negated on every position for nega-Cantor), so the
-    result is reduced once, on return."""
-    digits = tuple(digits)
-    tag = kind.tag
-
-    if tag in ("s_adic", "nega_s_adic", "mixed_sign"):
-        s = kind.qs[0]
-        num = 0
-        for n, d in enumerate(digits, 1):
-            if not (isinstance(d, int) and 0 <= d < s):
-                raise DomainError(f"digit {d!r} invalid at position {n}")
-            if tag == "s_adic":
-                sign = 1
-            elif tag == "nega_s_adic":
-                sign = -1 if n % 2 else 1
-            else:
-                sign = -1 if kind.signs.contains(n) else 1
-            num = num * s + sign * d
-        return Fraction(num, s ** len(digits))
-
-    if tag in ("cantor", "nega_cantor"):
-        qs = kind.qs
-        num, den = 0, 1
-        for n, d in enumerate(digits, 1):
-            base = qs[n - 1] if n <= len(qs) else qs[-1]
-            if not (isinstance(d, int) and 0 <= d < base):
-                raise DomainError(f"digit {d!r} invalid at position {n}")
-            b = -base if tag == "nega_cantor" else base
-            num = num * b + d
-            den *= b
-        return Fraction(num, den)
-
-    raise DomainError(f"no independent closed form for {tag!r}")

@@ -19,9 +19,9 @@ written with `print`, to `sys.stdout` and `sys.stderr` as they are at the
 time of the call.
 
 Exit codes: 0 success, 1 usage error, 2 bad spec (including a column whose
-entries are not positive or do not sum to 1) or a `--depth` above MAX_DEPTH,
-3 domain error (value out of range, digit word hits a gap, division by a
-length that is not bounded away from zero).
+entries are not positive or do not sum to 1) or an integer option above its
+ceiling (`_CEILINGS`), 3 domain error (value out of range, digit word hits a
+gap, division by a length that is not bounded away from zero).
 """
 from __future__ import annotations
 
@@ -36,9 +36,15 @@ from .numerics import format_enclosure, format_rational, parse_rational
 from .specfile import load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
-# The ceiling on --depth, refused before the spec loads. At it the slowest
-# preset command, example-b `validate`, takes 0.7 s (CPython 3.11, x86-64).
+# Ceilings on the integer options that size a command's work, refused before
+# the spec loads. The slowest preset command at each (CPython 3.11, x86-64):
+# at --depth, example-a `validate` (0.3-0.6 s); at --rank, example-b
+# `theorem` (1.1-1.9 s, 5.9 MB of output); at --max-len, an example-b
+# `encode` that never meets its tolerance (1.7-2.9 s); at --table-limit,
+# example-b `cylinder` on an infinite column (about 1 s, 9.4 MB).
 MAX_DEPTH = 20_000
+_CEILINGS = {"--depth": MAX_DEPTH, "--rank": 400, "--max-len": 1_000,
+             "--table-limit": 2_000}
 _WIDTH = 78  # help screens wrap here, whatever the terminal's width
 
 
@@ -339,9 +345,10 @@ def _value(flag: str, kind, text: str):
         except ValueError:
             raise _UsageError(f"Invalid value for '{flag}': {text!r} is not a "
                               "valid integer.") from None
-        if flag == "--depth" and value > MAX_DEPTH:
-            raise _UsageError(f"Invalid value for '--depth': {value} is above the "
-                              f"ceiling of {MAX_DEPTH}.", usage=False, code=2)
+        ceiling = _CEILINGS.get(flag)
+        if ceiling is not None and value > ceiling:
+            raise _UsageError(f"Invalid value for '{flag}': {value} is above the "
+                              f"ceiling of {ceiling}.", usage=False, code=2)
         return value
     if isinstance(kind, tuple) and text not in kind:
         choices = ", ".join(map(repr, kind))

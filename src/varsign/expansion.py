@@ -49,6 +49,10 @@ them through `prefix_walk`, `prefix_weight` and `tail_bounds`, reads the
 tails at position n at the depth `read_depth` gives, and asks `tail_phase`
 which positions repeat one another. Its caches live in one record per
 system, keyed weakly, so they never keep a system alive.
+
+This module is the engine only. The independent routes to a word's value,
+against which `prefix_walk` is tested, live in `oracles`, which never
+imports this module.
 """
 from __future__ import annotations
 
@@ -60,6 +64,8 @@ from itertools import cycle, islice
 
 from .errors import DomainError, ParameterError
 from .numerics import Enclosure, ONE, ZERO
+# Re-exported only because bench/workloads.py reads expansion.eval_signed_product.
+from .oracles import eval_signed_product  # noqa: F401
 from .system import DigitSystem
 
 DEFAULT_DEPTH = 40
@@ -91,7 +97,7 @@ def word(system: DigitSystem, digits) -> DigitWord:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation (two independent routes)
+# The prefix walk
 
 
 def _over_common(x: Fraction, y: Fraction) -> tuple:
@@ -151,42 +157,6 @@ def prefix_weight(w: DigitWord) -> Fraction:
     for (_, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
         _, q, c = memo[d]
         num *= q
-        den *= c
-    return Fraction(num, den)
-
-
-def eval_signed_product(w: DigitWord) -> Fraction:
-    """Same value by the signed-column route: per-entry signed sums times
-    signed running products, the column sign -1 where the marking changes
-    from position n-1 (0 is unmarked) to n. Must agree with eval_prefix
-    exactly; the two routes share no sign logic.
-
-    The total and the signed running product are num/den and prod/den over
-    one unreduced denominator: each position puts its entries 0..d over the
-    least common denominator c of theirs and multiplies den by c, so the
-    result is reduced once, on return. Each (column, digit) is put over its
-    denominator once per call."""
-    sys = w.system
-    num, prod, den = 0, 1, 1
-    marked_before = False
-    # (id(col), d) -> (col, sum of entries 0..d-1, entry d, c), numerators
-    # over c; holding the column keeps its id from being reused.
-    seen = {}
-    for pos, d in enumerate(w.digits, 1):
-        marked = sys.signs.contains(pos)
-        cs = -1 if marked != marked_before else 1
-        marked_before = marked
-        col = sys.column(pos)
-        kept = seen.get((id(col), d))
-        if kept is None:
-            entries = [col.entry(i) for i in range(d + 1)]
-            c = math.lcm(*(e.denominator for e in entries))
-            kept = seen[id(col), d] = (
-                col, sum(e.numerator * (c // e.denominator) for e in entries[:d]),
-                entries[d].numerator * (c // entries[d].denominator), c)
-        _, below, entry, c = kept
-        num = num * c + cs * below * prod
-        prod *= cs * entry
         den *= c
     return Fraction(num, den)
 

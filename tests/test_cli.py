@@ -276,6 +276,21 @@ CONTRACT = [
     (["range", "--spec", NEGA, "--depth", "9" * 29], 2, "",
      f"Error: Invalid value for '--depth': {'9' * 29} is above the ceiling of 20000.\n"),
     (["theorem", "--depth", "20001", "--help"], 0, help_screen("theorem"), ""),
+    # --rank, --max-len and --table-limit have ceilings of their own, refused
+    # the same way; a missing spec keeps a row cheap even if the check is lost.
+    (["theorem", "--spec", MISSING, "--rank", "401"], 2, "",
+     "Error: Invalid value for '--rank': 401 is above the ceiling of 400.\n"),
+    (["encode", "--spec", MISSING, "--x", "1/3", "--max-len=1001"], 2, "",
+     "Error: Invalid value for '--max-len': 1001 is above the ceiling of 1000.\n"),
+    (["cylinder", "--spec", MISSING, "--base", "1", "--table-limit", str(10**9)], 2, "",
+     f"Error: Invalid value for '--table-limit': {10**9} is above the ceiling of 2000.\n"),
+    (["cylinder", "--spec", NEGA, "--base", "1", "--table-limit", "2001"], 2, "",
+     "Error: Invalid value for '--table-limit': 2001 is above the ceiling of 2000.\n"),
+    # validate prints the exact sup-entry product, whose denominator passes the
+    # int-to-str limit well below the --depth ceiling on most presets.
+    (["validate", "--spec", preset("example-b.json"), "--depth", "3000"], 3, "",
+     "error: rational of about 4568 decimal digits exceeds the int-to-str limit "
+     f"of {sys.get_int_max_str_digits()} digits\n"),
     # A value past Python's int-to-str limit is a domain error, not a traceback.
     (["eval", "--spec", NEGA, "--digits", ",".join(["1"] * 20000)], 3, "",
      "error: rational of about 6021 decimal digits exceeds the int-to-str limit "

@@ -10,15 +10,25 @@ place.  The check parses `src/varsign/*.py` and reports
 
 Dunder names (`__init__`, `__all__`, ...) are not private.
 
-It also keeps the cross-check routes independent: `eval_signed_product`,
-`classics.oracle_eval` and `tests/support.walk_prefix` recompute word values,
-and `tests/support.reference_encode` encodes, with plain Fractions, so none
-of them may use the integer prefix walk they are compared with, nor the
-per-system step table it reads.
+`tests/support.py` is checked the same way.
+
+It also keeps the cross-check routes independent of the engine they are
+compared with (`expansion`, the integer prefix walk and its step tables), by
+module rather than by the engine's names, so a change inside the engine
+needs no edit here:
+
+- `oracles` (`eval_signed_product`, `oracle_eval`) imports no package
+  module but `errors`, `numerics` and `system`;
+- `tests/support.py`, whose `walk_prefix` and `reference_encode` recompute
+  word values and encodes with plain Fractions, binds nothing from
+  `expansion` but `tail_bounds` and `word`.
 """
 import ast
 import glob
 import os
+import types
+
+import support
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, os.pardir, "src", "varsign")
@@ -73,7 +83,8 @@ def violations(source, filename="<module>"):
 
 def test_no_module_uses_another_modules_privates():
     found = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+    for path in [*sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                 os.path.join(HERE, "support.py")]:
         with open(path, encoding="utf-8") as fh:
             found += violations(fh.read(), os.path.basename(path))
     assert not found, "\n".join(found)
@@ -81,7 +92,7 @@ def test_no_module_uses_another_modules_privates():
 
 def test_checker_flags_private_imports_and_attributes():
     assert violations("from .expansion import _tail_magnitude, word\n")
-    assert violations("from varsign.expansion import _LOW\n")
+    assert violations("from varsign.expansion import _SIDE\n")
     assert violations("def f(sys):\n    return sys._tail_memo\n")
     assert violations("from . import expansion\nexpansion._extremal(1, 2, 3)\n")
 
@@ -100,42 +111,86 @@ def test_checker_allows_own_and_public_names():
     assert not violations(own)
 
 
-# (file, function) of each independent route, and the names of the prefix
-# walk and its step table that it must not reach.
-INDEPENDENT_ROUTES = (
-    (os.path.join(SRC, "expansion.py"), "eval_signed_product"),
-    (os.path.join(SRC, "classics.py"), "oracle_eval"),
-    (os.path.join(HERE, "support.py"), "walk_prefix"),
-    (os.path.join(HERE, "support.py"), "reference_encode"),
-)
-WALK = {"prefix_walk", "prefix_weight", "_over_common", "eval_prefix", "word_bounds",
-        "_steps", "_step", "_Digits", "_record", "_RECORDS"}
+# The package modules the independent routes of `oracles` may import.
+ORACLE_IMPORTS = {"errors", "numerics", "system"}
+# What tests/support.py may take from the engine: the references there
+# rebuild word values and encodes themselves, and only read tails and build
+# words through the engine.
+SUPPORT_ENGINE_USES = {"tail_bounds", "word"}
 
 
-def walk_uses(source, function):
-    """Names of the prefix walk referenced in the body of `function`."""
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            used = set()
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Name):
-                    used.add(inner.id)
-                elif isinstance(inner, ast.Attribute):
-                    used.add(inner.attr)
-            return used & WALK
-    raise LookupError(f"no top-level function {function}")
+def package_imports(source):
+    """Names of the package modules a module's source imports, in any form:
+    `from .m import x`, `from . import m`, `import varsign.m` and
+    `from varsign(.m) import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "varsign":
+                    continue
+                module = module[len("varsign."):]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "varsign" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
 
 
-def test_cross_check_routes_do_not_use_the_prefix_walk():
-    for path, function in INDEPENDENT_ROUTES:
-        with open(path, encoding="utf-8") as fh:
-            assert not walk_uses(fh.read(), function), (path, function)
+def test_oracles_import_no_engine_module():
+    with open(os.path.join(SRC, "oracles.py"), encoding="utf-8") as fh:
+        assert package_imports(fh.read()) <= ORACLE_IMPORTS
 
 
-def test_route_checker_flags_the_walk():
-    assert walk_uses("def f(w):\n    return prefix_walk(w)[0]\n", "f")
-    assert walk_uses("def f(w):\n    return expansion.prefix_weight(w)\n", "f")
-    assert walk_uses("def f(x, y):\n    return _over_common(x, y)\n", "f")
-    assert walk_uses("def f(s, n):\n    return expansion._steps(s, n)\n", "f")
-    assert not walk_uses("def f(w):\n    return walk_prefix(w)\n", "f")
+def test_import_rule_finds_every_form_of_package_import():
+    assert package_imports("from .expansion import word\n") == {"expansion"}
+    assert package_imports("from . import expansion, errors\n") == {"expansion", "errors"}
+    assert package_imports("import varsign.expansion as e\n") == {"expansion"}
+    assert package_imports("from varsign.expansion import word\n") == {"expansion"}
+    assert package_imports("from varsign import expansion\n") == {"expansion"}
+    assert package_imports("def f():\n    from .cylinders import cylinder\n") == {"cylinders"}
+    assert package_imports("import math\nfrom fractions import Fraction\n") == set()
+
+
+def engine_bindings(namespace):
+    """Names in `namespace` bound to an object of the engine module
+    `varsign.expansion` (a function, a class or an instance of one of its
+    classes, or the module itself), found from each object's home module."""
+    def home(obj):
+        if isinstance(obj, types.ModuleType):
+            return obj.__name__
+        return getattr(obj, "__module__", None)
+
+    return {name for name, obj in namespace.items() if home(obj) == "varsign.expansion"}
+
+
+def test_support_takes_only_tails_and_words_from_the_engine():
+    assert engine_bindings(vars(support)) <= SUPPORT_ENGINE_USES
+
+
+def test_engine_binding_rule_finds_objects_by_home_module():
+    import varsign
+    from varsign import expansion, oracles
+
+    assert engine_bindings({"walk": varsign.prefix_walk}) == {"walk"}
+    assert engine_bindings({"expansion": expansion}) == {"expansion"}
+    assert engine_bindings({"w": varsign.word(varsign.make_classic(varsign.s_adic(2)), (1,))}) \
+        == {"w"}
+    # The re-export in the engine module is the oracle's own function.
+    assert not engine_bindings({"e": expansion.eval_signed_product, "o": oracles,
+                                "walk_prefix": support.walk_prefix, "depth": 40})
+
+
+def test_re_exported_oracles_are_the_oracles_own_functions():
+    import varsign
+    from varsign import classics, expansion, oracles
+
+    assert varsign.eval_signed_product is expansion.eval_signed_product \
+        is oracles.eval_signed_product
+    assert varsign.oracle_eval is classics.oracle_eval is oracles.oracle_eval
