@@ -33,7 +33,7 @@ from .encoder import encode, theorem_check
 from .errors import SpecError, VarsignError
 from .expansion import DEFAULT_DEPTH, read_depth, value_range, word, word_bounds
 from .numerics import format_enclosure, format_rational, parse_rational
-from .specfile import load_spec
+from .specfile import MAX_DIGITS, load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
 # Ceilings on the integer options that size a command's work, refused before
@@ -41,10 +41,13 @@ DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
 # at --depth, example-a `validate` (0.3-0.6 s); at --rank, example-b
 # `theorem` (1.1-1.9 s, 5.9 MB of output); at --max-len, an example-b
 # `encode` that never meets its tolerance (1.7-2.9 s); at --table-limit,
-# example-b `cylinder` on an infinite column (about 1 s, 9.4 MB).
+# example-b `cylinder` on an infinite column (about 1 s, 9.4 MB). A --digit
+# past MAX_DIGITS names no digit of a spec column; on an infinite column its
+# cost grows with the digit, and at the ceiling geometric-halves and
+# example-a `placement` exit 3 at the int-to-str limit in about 0.03 s.
 MAX_DEPTH = 20_000
 _CEILINGS = {"--depth": MAX_DEPTH, "--rank": 400, "--max-len": 1_000,
-             "--table-limit": 2_000}
+             "--table-limit": 2_000, "--digit": MAX_DIGITS}
 _WIDTH = 78  # help screens wrap here, whatever the terminal's width
 
 

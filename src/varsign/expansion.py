@@ -18,22 +18,22 @@ contributing positions, all-singleton columns, all-contributing with a
 vanishing product, or an eventually periodic pattern solved by its fixed
 point).
 
-When the seed is exact, the tails do not depend on the truncation depth at
-all: past the preperiod pre of the eventually periodic structure (columns
-and sign set together, period `period`), every seed takes the same branch,
-and an exact seed is the fixed point of the recursion over one period. So
-tails repeat with that period from pre on, and every exact query of a
-system is served from one canonical table at depth pre + period.
+Each side of the tail is read from one table: the walk down to n from the
+side's anchor. An infinite column's limit pair (weight 1, entry 0) drives
+one side, the low side on a marked position and the high side elsewhere,
+and pins that side's tail before it to exactly 1, whatever lies beyond. So
+the anchor is the side's first reset past n when that reset lies at or
+before the depth, and its table serves every depth from there on;
+otherwise the anchor is the depth, and the table starts from the side's
+seed there.
 
-The other queries (an inexact seed, or a query shallower than pre + period)
-rest on the reset rule. An infinite column's limit pair (weight 1, entry 0)
-drives one side of the tail, the low side on a marked position and the high
-side elsewhere, and pins that side's tail before it to exactly 1, whatever
-lies beyond. So a side's tail at n is the walk from its first reset past n,
-an exact point independent of the depth once that reset lies at or before
-the depth. Tails whose two sides both reset are kept by position, with the
-later reset, and serve every query at least that deep. The other queries
-read one table per (system, depth).
+When the seeds are exact, the tails do not depend on the truncation depth
+at all: past the preperiod pre of the eventually periodic structure
+(columns and sign set together, period `period`), every seed takes the
+same branch, and an exact seed is the fixed point of the recursion over
+one period. So tails repeat with that period from pre on, and every exact
+query of a system is rewritten to depth pre + period, at its position's
+phase, before its tables are read.
 
 The prefix walk and the tail recursion read one step table per system: per
 position the term sign, a digit memo of the column's (weight, entry) pairs
@@ -174,6 +174,11 @@ def _structure_period(sys: DigitSystem) -> tuple:
     return max(col_pre, sign_pre), math.lcm(col_period, sign_period)
 
 
+# Where each side's (a, q, c) sits in a step record; each side also keys its
+# tail tables and first resets by it.
+_LOW, _HIGH = 2, 3
+
+
 class _SystemRecord:
     """What this module caches for one system: its step table and its tail
     tables.
@@ -190,17 +195,17 @@ class _SystemRecord:
     (`shared`), positions past pre + period read the record of their phase,
     and the table stops there; rule columns get one record per position.
 
-    The tail tables are {depth: `_Table`}, with the (pre, period) of the
-    structure and whether the seed at depth pre + period is exact: None
-    until a query at that depth or deeper decides it. `resets` maps a
-    position n to (r, tails): tails that hold at every depth >= r, because
-    each side resets at or before r (see `tail_bounds`). `infinite` is false
-    when no column is infinite, so that no side ever resets; rule columns
-    may always have one. Every write stores the one exact value of its key,
-    so concurrent callers cannot corrupt a table.
+    Each side keeps its tail tables in `tables[side]`, keyed by their anchor
+    (see `tail_bounds`), and in `firsts[side]` the side's first reset past n
+    for each position n that a scan has passed. (pre, period) is that of the
+    structure, and `exact` says whether both seeds at pre + period are
+    points: None until a query at that depth or deeper decides it.
+    `infinite` is false when no column is infinite, so that no side ever
+    resets; rule columns may always have one. Every write stores the one
+    exact value of its key, so concurrent callers cannot corrupt a table.
     """
 
-    __slots__ = ("steps", "memos", "shared", "tables", "resets", "infinite",
+    __slots__ = ("steps", "memos", "shared", "tables", "firsts", "infinite",
                  "pre", "period", "exact")
 
     def __init__(self, sys: DigitSystem):
@@ -208,8 +213,8 @@ class _SystemRecord:
         self.steps = ()
         self.memos = {}
         self.shared = periodic is not None
-        self.tables = {}
-        self.resets = {}
+        self.tables = {_LOW: {}, _HIGH: {}}
+        self.firsts = {_LOW: {}, _HIGH: {}}
         self.infinite = periodic is None or any(
             sys.column(t).is_infinite for t in range(1, sum(periodic) + 1))
         self.pre, self.period = _structure_period(sys)
@@ -217,16 +222,17 @@ class _SystemRecord:
 
 
 class _Table(dict):
-    """The tails at one depth: position -> (lo, hi), seeded at the depth and
-    filled downward. Every position from `low` up to the depth is filled;
-    `low` moves down only after the positions it passes are written, so a
-    reader takes it in one step and always walks from a filled position."""
+    """One side's signed tails from one anchor: position -> Enclosure, started
+    at position `top` and filled downward. Every position from `low` up to
+    top is filled; `low` moves down only after the positions it passes are
+    written, so a reader takes it in one step and always walks from a filled
+    position."""
 
     __slots__ = ("low",)
 
-    def __init__(self, depth: int, seed: tuple):
-        super().__init__({depth: seed})
-        self.low = depth
+    def __init__(self, top: int, tail: Enclosure):
+        super().__init__({top: tail})
+        self.low = top
 
 
 # system -> _SystemRecord, weakly keyed so that the tables live exactly as
@@ -243,6 +249,9 @@ def _record(sys: DigitSystem) -> _SystemRecord:
 
 # The limit (weight, entry) = (1, 0) of an infinite column's digits.
 _LIMIT = (1, 0, 1)
+# Each side's signed tail just before its reset: the point 1, negated on the
+# low side.
+_RESET = {_LOW: Enclosure.point(-1), _HIGH: Enclosure.point(1)}
 
 
 def _step(sys: DigitSystem, memos: dict, t: int) -> tuple:
@@ -284,10 +293,6 @@ def _steps(sys: DigitSystem, last: int, first: int = 1) -> tuple:
     return known[first - 1:] + tuple(repeats)
 
 
-# Where each side's (a, q, c) sits in a step record.
-_LOW, _HIGH = 2, 3
-
-
 def _side_walk(steps: tuple, side: int, num_lo: int, num_hi: int, den: int):
     """Walk one side's tail magnitude back over steps, from the last record
     to the first, from [num_lo/den, num_hi/den] past the last; yield the
@@ -308,41 +313,38 @@ def _side_walk(steps: tuple, side: int, num_lo: int, num_hi: int, den: int):
         yield num_lo, num_hi, den
 
 
-def _tail_seed(sys: DigitSystem, depth: int) -> tuple:
-    """Signed enclosures (lo, hi) of the downward and upward tails past
-    position depth: the low side's magnitude negated, and the high side's."""
+def _tail_seed(sys: DigitSystem, depth: int, side: int) -> Enclosure:
+    """The signed enclosure of one side's tail past position depth: the low
+    side's magnitude negated, or the high side's."""
     signs = sys.signs
     cols = sys.columns
-    members = signs.has_members_beyond(depth)
-    nonmembers = signs.has_nonmembers_beyond(depth)
+    # The low side sums the marked positions, the high side the others.
+    contributors, others = signs.has_members_beyond, signs.has_nonmembers_beyond
+    if side == _HIGH:
+        contributors, others = others, contributors
     periodic = cols.periodicity()
+    rec = _record(sys)
     # Past the provider's preperiod one period of singleton columns means
     # forced digits forever, each of weight 0 and entry 1: no tail.
-    singleton = periodic is not None and all(
-        sys.column(t).top_digit == 0
-        for t in range(depth + 1, max(depth, periodic[0]) + periodic[1] + 1))
-    rec = _record(sys)
-    seeds = []
-    for side, contributors_beyond, others_beyond in (
-            (_LOW, members, nonmembers), (_HIGH, nonmembers, members)):
-        if not contributors_beyond or singleton:
-            seeds.append(Enclosure.point(0))
-        elif not others_beyond and cols.claims_vanishing_product():
-            # Every later position contributes 1 - entry; the sum telescopes
-            # to 1 minus a vanishing product.
-            seeds.append(Enclosure.point(1))
-        elif periodic is not None and depth >= rec.pre:
-            # One period from [0, 1] gives [A, A + B] for its map R -> A + B*R,
-            # whose fixed point is A / (1 - B); B < 1, as one period of
-            # singleton columns has taken the point 0 above.
-            period = _steps(sys, depth + rec.period, depth + 1)
-            for num_lo, num_hi, den in _side_walk(period, side, 0, 1, 1):
-                pass
-            seeds.append(Enclosure.point(Fraction(num_lo, den - num_hi + num_lo)))
-        else:
-            seeds.append(Enclosure(ZERO, ONE))
-    low, high = seeds
-    return low.neg(), high
+    if not contributors(depth) or (periodic is not None and all(
+            sys.column(t).top_digit == 0
+            for t in range(depth + 1, max(depth, periodic[0]) + periodic[1] + 1))):
+        seed = Enclosure.point(0)
+    elif not others(depth) and cols.claims_vanishing_product():
+        # Every later position contributes 1 - entry; the sum telescopes to 1
+        # minus a vanishing product.
+        seed = Enclosure.point(1)
+    elif periodic is not None and depth >= rec.pre:
+        # One period from [0, 1] gives [A, A + B] for its map R -> A + B*R,
+        # whose fixed point is A / (1 - B); B < 1, as one period of singleton
+        # columns has taken the point 0 above.
+        period = _steps(sys, depth + rec.period, depth + 1)
+        for num_lo, num_hi, den in _side_walk(period, side, 0, 1, 1):
+            pass
+        seed = Enclosure.point(Fraction(num_lo, den - num_hi + num_lo))
+    else:
+        seed = Enclosure(ZERO, ONE)
+    return seed.neg() if side == _LOW else seed
 
 
 def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
@@ -352,107 +354,94 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     Requires depth > n; each enclosure's width is at most the product of the
     extremal entries over positions n+1..depth (and is often exactly 0).
 
-    With pre and period of the structure (`_structure_period`), a query at
-    depth >= pre + period on a system whose seeds at pre + period are both
-    points reads the one canonical table at depth pre + period, at position
-    n below pre and pre + (n - pre) % period from pre on. That is the same
-    Fraction pair as at the caller's depth: from pre on every seed takes the
-    same branch, and an exact seed is the fixed point of the recursion over
-    one period, so exact tails repeat with that period.
+    A query at depth >= pre + period (`_structure_period`) on a system whose
+    seeds there are both points is first rewritten to depth pre + period, at
+    position n below pre and pre + (n - pre) % period from pre on. That is
+    the same Fraction pair as at the caller's depth: from pre on every seed
+    takes the same branch, and an exact seed is the fixed point of the
+    recursion over one period, so exact tails repeat with that period.
 
-    Other queries rest on the reset rule: an infinite column's limit pair
-    (weight 1, entry 0) drives one side, and the walk restarts that side at
-    the point 1 there, whatever lies beyond. So a side's tail at n is the
-    walk from its first reset past n, an exact point that does not depend on
-    the depth once the reset lies at or before it. The first resets are
-    looked for over the positions that the table at this depth would walk:
-    n + 1 up to its lowest filled position, or up to the depth before the
-    table exists; not at all on systems without an infinite column. When
-    both sides reset there, the pair is kept by position with the later of
-    the two resets, and a query at any depth from that reset on reads it.
-    Otherwise the query uses the table per (system, depth), which grows
-    backward from its seed only as far as the lowest position asked for.
+    Each side is then the walk down to n from its anchor: its first reset r
+    past n, from the point 1 at r - 1, when r lies at or before the depth, a
+    table that serves every depth from r on; otherwise the depth, from the
+    side's seed there. The reset is looked for over the positions that the
+    depth's table would walk, n + 1 up to its lowest filled position (up to
+    the depth before that table exists), and only on systems with an
+    infinite column, so a depth's table never walks past a reset of its
+    side. Tables grow backward only as far as the lowest position asked for.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")
     if not isinstance(depth, int) or depth <= n:
         raise ParameterError(f"tail depth must exceed position {n}, got {depth!r}")
     rec = _record(sys)
-    tables = rec.tables
     canonical = rec.pre + rec.period
     if depth >= canonical:
         if rec.exact is None:
-            # Decided once, by a query that pays for pre + period steps.
-            lo, hi = seed = _tail_seed(sys, canonical)
-            exact = lo.is_point and hi.is_point
+            # Decided once, by a query that pays for each side's seed at pre +
+            # period. Exact seeds start that depth's tables, except on a side
+            # that resets there: its tails below start from the reset.
+            seeds = {side: _tail_seed(sys, canonical, side) for side in (_LOW, _HIGH)}
+            exact = all(seed.is_point for seed in seeds.values())
             if exact:
-                tables.setdefault(canonical, _Table(canonical, seed))
+                for side, seed in seeds.items():
+                    if _first_reset(sys, side, canonical - 1, canonical) is None:
+                        rec.tables[side].setdefault(canonical, _Table(canonical, seed))
             rec.exact = exact
         if rec.exact:
+            depth = canonical
             if n >= rec.pre:
                 n = rec.pre + (n - rec.pre) % rec.period
-            return _table_walk(sys, tables[canonical], n)
-    known = rec.resets.get(n)
-    if known is not None and known[0] <= depth:
-        return known[1]
+    return _side_tail(sys, rec, _LOW, n, depth), _side_tail(sys, rec, _HIGH, n, depth)
+
+
+def _side_tail(sys: DigitSystem, rec: _SystemRecord, side: int, n: int, depth: int):
+    """One side's signed tail at n for a query at depth, from the table of
+    its anchor (see `tail_bounds`)."""
+    tables = rec.tables[side]
     table = tables.get(depth)
-    # The table's walk would read positions n + 1..bound: look for the
-    # resets there, unless no column can reset or n's resets lie too deep.
-    bound = depth if table is None else table.low
-    if n < bound and rec.infinite and known is None:
-        found = _reset_walk(sys, rec.resets, n, bound)
-        if found is not None:
-            return found
+    if table is not None and n >= table.low:
+        return table[n]
+    first = rec.firsts[side].get(n)
+    if first is not None and first <= depth:
+        return tables[first][n]
+    if first is None and rec.infinite:
+        first = _first_reset(sys, side, n, depth if table is None else table.low)
+        if first is not None:
+            tail = _walk(sys, tables.setdefault(first, _Table(first - 1, _RESET[side])), side, n)
+            rec.firsts[side].update(dict.fromkeys(range(n, first), first))
+            return tail
     if table is None:
-        table = tables[depth] = _Table(depth, _tail_seed(sys, depth))
-    return _table_walk(sys, table, n)
+        table = tables.setdefault(depth, _Table(depth, _tail_seed(sys, depth, side)))
+    return _walk(sys, table, side, n)
 
 
-def _table_walk(sys: DigitSystem, table: _Table, n: int) -> tuple:
-    """The tails at n from a table, walking both sides' magnitudes from its
-    lowest filled position down to n (`_side_walk`); only the stored entries
-    are reduced, the low side negated."""
-    hit = table.get(n)
-    if hit is not None:
-        return hit
-    t = table.low
-    lo, hi = table[t]
-    steps = _steps(sys, t, n + 1)
-    lows = _side_walk(steps, _LOW, *_over_common(-lo.hi, -lo.lo))
-    highs = _side_walk(steps, _HIGH, *_over_common(hi.lo, hi.hi))
-    for (m_lo, m_hi, m_den), high in zip(lows, highs):
-        t -= 1
-        table[t] = (_reduced(-m_hi, -m_lo, m_den), _reduced(*high))
-    if n < table.low:
-        table.low = n
-    return table[n]
-
-
-def _reset_walk(sys: DigitSystem, resets: dict, n: int, bound: int):
-    """The tails at n when both sides reset at or before position `bound`,
-    else None. A side resets where an infinite column's limit pair drives
-    it: the low side on marked positions, the high side elsewhere (`_step`).
-    Only the columns up to the later first reset are asked for. Each side
-    walks from the point 1 before its first reset past n; every position
-    below both first resets has the same ones, so all of them are kept in
-    `resets`, with the later reset."""
-    firsts = {}
+def _first_reset(sys: DigitSystem, side: int, n: int, bound: int):
+    """The first position in n + 1..bound whose infinite column resets the
+    side, or None: the low side on marked positions, the high side elsewhere
+    (`_step`). A column is asked for only at positions of the side."""
+    marked = side == _LOW
     for t in range(n + 1, bound + 1):
-        if sys.column(t).is_infinite:
-            firsts.setdefault(_LOW if sys.signs.contains(t) else _HIGH, t)
-            if len(firsts) == 2:
-                break
-    else:
-        return None
-    steps = _steps(sys, t - 1, n + 1)
-    # walks[side][k] is the side's magnitude at position firsts[side] - 1 - k.
-    walks = {side: [(1, 1, 1), *_side_walk(steps[:first - 1 - n], side, 1, 1, 1)]
-             for side, first in firsts.items()}
-    for m in range(n, min(firsts.values())):
-        low, _, den = walks[_LOW][firsts[_LOW] - 1 - m]
-        high = walks[_HIGH][firsts[_HIGH] - 1 - m]
-        resets[m] = t, (_reduced(-low, -low, den), _reduced(*high))
-    return resets[n][1]
+        if sys.signs.contains(t) == marked and sys.column(t).is_infinite:
+            return t
+    return None
+
+
+def _walk(sys: DigitSystem, table: _Table, side: int, n: int) -> Enclosure:
+    """The side's signed tail at n from its table, its magnitude walked from
+    the table's lowest filled position down to n (`_side_walk`); only the
+    stored entries are reduced, the low side's negated."""
+    t = table.low
+    if n < t:
+        tail = table[t]
+        low = side == _LOW
+        start = _over_common(-tail.hi, -tail.lo) if low else _over_common(tail.lo, tail.hi)
+        for num_lo, num_hi, den in _side_walk(_steps(sys, t, n + 1), side, *start):
+            t -= 1
+            table[t] = _reduced(-num_hi, -num_lo, den) if low else _reduced(num_lo, num_hi, den)
+        if n < table.low:
+            table.low = n
+    return table[n]
 
 
 def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:
@@ -467,9 +456,9 @@ def tail_phase(sys: DigitSystem, n: int):
     Positions past pre + period (`_structure_period`) with equal phase have
     the same column and sign, and, when the seed at pre + period is exact,
     the same tails at n - 1 and at n: `read_depth` reads both past pre +
-    period, where every query takes the canonical table. None for rule
-    columns, whose tails may repeat while the columns change with n, for
-    inexact tails, and for positions up to pre + period.
+    period, where every query is rewritten to depth pre + period. None for
+    rule columns, whose tails may repeat while the columns change with n,
+    for inexact tails, and for positions up to pre + period.
     """
     rec = _record(sys)
     if not rec.shared or n <= rec.pre + rec.period:

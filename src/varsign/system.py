@@ -139,21 +139,27 @@ class SignSet:
         return (max(self.flips | {self.start}), self.period)
 
     def has_members_beyond(self, bound: int) -> bool:
+        return self._any_beyond(bound, self.negated)
+
+    def has_nonmembers_beyond(self, bound: int) -> bool:
+        return self._any_beyond(bound, not self.negated)
+
+    def _any_beyond(self, bound: int, negated: bool) -> bool:
+        """Whether a position past bound is marked in the set with this
+        `negated` field: its members, or with the field flipped its
+        complement's."""
         # Past the start and the last flip, the marked residue classes repeat.
         marked = len(self.residues)
-        if (self.period - marked if self.negated else marked) > 0:
+        if (self.period - marked if negated else marked) > 0:
             return True
         # Otherwise a position at or past the start is marked iff flipped, and
         # one below the start iff flipped != negated.
         if any(f > bound and f >= self.start for f in self.flips):
             return True
         below = sum(1 for f in self.flips if bound < f < self.start)
-        if self.negated:
+        if negated:
             return self.start - 1 - bound > below
         return below > 0
-
-    def has_nonmembers_beyond(self, bound: int) -> bool:
-        return SignSet.complement(self).has_members_beyond(bound)
 
 
 # ---------------------------------------------------------------------------

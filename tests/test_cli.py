@@ -286,6 +286,14 @@ CONTRACT = [
      f"Error: Invalid value for '--table-limit': {10**9} is above the ceiling of 2000.\n"),
     (["cylinder", "--spec", NEGA, "--base", "1", "--table-limit", "2001"], 2, "",
      "Error: Invalid value for '--table-limit': 2001 is above the ceiling of 2000.\n"),
+    # --digit is at most 1048576 (2^20, the most digits a spec column has).
+    # The ceiling itself is taken: on an infinite column its rational passes
+    # the int-to-str limit quickly.
+    (["placement", "--spec", MISSING, "--digit", "1048577"], 2, "",
+     "Error: Invalid value for '--digit': 1048577 is above the ceiling of 1048576.\n"),
+    (["placement", "--spec", preset("geometric-halves.json"), "--digit", "1048576"], 3, "",
+     "error: rational of about 315655 decimal digits exceeds the int-to-str limit "
+     f"of {sys.get_int_max_str_digits()} digits\n"),
     # validate prints the exact sup-entry product, whose denominator passes the
     # int-to-str limit well below the --depth ceiling on most presets.
     (["validate", "--spec", preset("example-b.json"), "--depth", "3000"], 3, "",

@@ -43,7 +43,7 @@ from varsign import (
 )
 
 from varsign import expansion
-from varsign.expansion import _structure_period, _tail_seed, tail_phase
+from varsign.expansion import _HIGH, _LOW, _structure_period, _tail_seed, tail_phase
 from support import (
     UNSORTED_COLUMN_SPEC,
     build_signs,
@@ -364,7 +364,8 @@ def test_seed_branch_repeats_past_the_preperiod():
     rng = random.Random(SEED + 8)
     for sys in _differential_systems(rng):
         pre, period = _structure_period(sys)
-        pairs = [_tail_seed(sys, depth) for depth in range(pre, pre + 3 * period + 1)]
+        pairs = [(_tail_seed(sys, depth, _LOW), _tail_seed(sys, depth, _HIGH))
+                 for depth in range(pre, pre + 3 * period + 1)]
         for seeds in zip(*pairs):
             assert len({seed.is_point for seed in seeds}) == 1, (pre, period)
             if seeds[0].is_point:
@@ -482,8 +483,8 @@ def test_step_table_survives_concurrent_extension():
     # Four threads walk and query tails on one cold system with a tiny
     # switch interval, each extending the table a few positions per word,
     # so that their extensions interleave. On example-b the tails fill the
-    # canonical table; on example-a they fill the reset cache and, near the
-    # depth, the table at depth 170. An exception in a thread is kept and
+    # canonical tables; on example-a they fill the tables anchored at each
+    # side's resets and, near the depth, at depth 170. An exception in a thread is kept and
     # fails the test, as a wrong answer does.
     rng = random.Random(SEED + 16)
     interval = getswitchinterval()
@@ -560,6 +561,37 @@ def _check_depth_orders(sys, depths):
                     n, depth, depth_step, n_step)
 
 
+def _resets(sys, side, first, last):
+    """The positions in first..last whose infinite column resets the side:
+    marked positions for the low side, unmarked ones for the high side."""
+    return [t for t in range(first, last + 1)
+            if sys.column(t).is_infinite and sys.signs.contains(t) == (side == _LOW)]
+
+
+def _check_anchors(sys, depths):
+    """The sharing that `tail_bounds` states, after the sweep of
+    `_check_depth_orders` in each of its four orders. A table anchored at a
+    depth (it holds that position) walks past no reset of its side; a table
+    anchored at a reset r holds r - 1 down to its lowest position, each of
+    which has r as its side's first reset, and so does every position kept
+    in `firsts`. Wrong anchors would still give right values."""
+    for depth_step, n_step in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        cold = DigitSystem(sys.signs, sys.columns)
+        for depth in sorted(depths)[::depth_step]:
+            for n in range(depth)[::n_step]:
+                tail_bounds(cold, n, depth)
+        rec = expansion._RECORDS[cold]
+        for side in (_LOW, _HIGH):
+            for anchor, table in rec.tables[side].items():
+                if anchor in table:
+                    assert not _resets(sys, side, table.low + 1, anchor), (side, anchor)
+                else:
+                    assert sorted(table) == list(range(table.low, anchor)), (side, anchor)
+                    assert _resets(sys, side, table.low + 1, anchor) == [anchor], (side, anchor)
+            for n, first in rec.firsts[side].items():
+                assert _resets(sys, side, n + 1, first) == [first], (side, n)
+
+
 def _around_resets(sys, horizon):
     """Depths 1 and `horizon`, and each depth just below, at and just above
     a position up to `horizon` whose infinite column resets a side."""
@@ -580,7 +612,9 @@ def test_reset_tails_match_the_reference_on_the_examples():
     halves = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
                                     "presets", "geometric-halves.json"))
     for sys in (make_classic(example_a()), make_classic(example_b()), halves):
-        _check_depth_orders(sys, _around_resets(sys, 40) | {120})
+        depths = _around_resets(sys, 40) | {120}
+        _check_depth_orders(sys, depths)
+        _check_anchors(sys, depths)
 
 
 _FINITE = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
@@ -608,7 +642,9 @@ def _mixed_columns(draw):
 @given(columns=_mixed_columns())
 def test_reset_tails_match_the_reference_on_mixed_columns(rule, columns):
     sys = DigitSystem(build_signs(rule), columns)
-    _check_depth_orders(sys, _around_resets(sys, 24))
+    depths = _around_resets(sys, 24)
+    _check_depth_orders(sys, depths)
+    _check_anchors(sys, depths)
 
 
 class _CountingColumns:
@@ -631,38 +667,47 @@ class _CountingColumns:
         return self.inner.claims_vanishing_product()
 
 
+def _anchors(sys):
+    """Each side's table anchors, in order."""
+    rec = expansion._RECORDS[sys]
+    return {side: sorted(rec.tables[side]) for side in (_LOW, _HIGH)}
+
+
 def test_reset_tails_ask_no_column_past_both_first_resets():
     # Example-a's high side resets at position 1 (unmarked) and its low side
     # at 5, the first marked position, so the range is exact from depth 5
     # on: a query at depth 10^6 asks for no column past 5, and one at depth
-    # 5 reads the pair it kept, with no table.
+    # 5 reads the tables it kept. No table is anchored at a depth.
     base = make_classic(example_a())
     cols = _CountingColumns(base.columns, last=5)
     sys = DigitSystem(base.signs, cols)
     assert value_range(sys, 10 ** 6) == reference_tail_bounds(base, 5)[0]
     assert max(cols.asked) == 5
     assert value_range(sys, 5) == value_range(sys, 10 ** 6)
-    assert not expansion._RECORDS[sys].tables
+    assert _anchors(sys) == {_LOW: [5], _HIGH: [1]}
     # Listed columns reset as well: one geometric column, with only
-    # position 50 marked, resets the low side at 50, so a query shallower
-    # than pre + period = 51 keeps the range with reset 50 and no table.
+    # position 50 marked, resets the low side at 50 and the high side at 1,
+    # so a query shallower than pre + period = 51 reads both from their
+    # resets, with no table anchored at a depth.
     listed = DigitSystem(SignSet.from_list([50]), ListColumns(
         (GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
     assert value_range(listed, 50) == reference_tail_bounds(listed, 50)[0]
-    rec = expansion._RECORDS[listed]
-    assert rec.resets[0][0] == 50 and not rec.tables
+    assert _anchors(listed) == {_LOW: [50], _HIGH: [1]}
 
 
 def test_example_a_resets_within_three_positions():
     # From position 5 on, marks come in pairs, so any three consecutive
     # positions from 3 on hold a marked and an unmarked one: both sides of
     # the tail at n >= 2 reset by n + 3, and the stream (n, n + 3) is served
-    # without a table. Asked from the top down, each query finds its own two
-    # resets, since a query keeps pairs only at its position and above.
+    # without a table anchored at a depth. Asked from the top down, each
+    # query finds its own resets, since a scan keeps first resets only at
+    # its position and above.
     sys = make_classic(example_a())
     for n in reversed(range(2, 60)):
         assert tail_bounds(sys, n, n + 3) == reference_tail_bounds(sys, n + 3)[n], n
-    assert not expansion._RECORDS[sys].tables
+    for side, anchors in _anchors(sys).items():
+        firsts = {_resets(sys, side, n + 1, n + 3)[0] for n in range(2, 60)}
+        assert anchors == sorted(firsts), side
 
 
 @pytest.mark.parametrize("signs", [
@@ -671,9 +716,9 @@ def test_example_a_resets_within_three_positions():
 ])
 def test_shallow_queries_keep_per_depth_tables(signs):
     # pre + period exceeds the depth: no decision is made, and the queries
-    # fill one table of at most depth + 1 entries, down to position 0. No
-    # column is infinite, so no reset is looked for: the walk asks for each
-    # column from 2 to 40 once.
+    # fill one table per side of at most depth + 1 entries, down to position
+    # 0. No column is infinite, so no reset is looked for: the walks ask for
+    # each column from 2 to 40 once.
     cols = _CountingColumns(ListColumns((uniform_column(2),)))
     sys = DigitSystem(signs, cols)
     expected = reference_tail_bounds(DigitSystem(signs, cols.inner), 40)
@@ -681,8 +726,9 @@ def test_shallow_queries_keep_per_depth_tables(signs):
         assert tail_bounds(sys, n, 40) == expected[n]
     tails = expansion._RECORDS[sys]
     assert tails.pre + tails.period > 40 and tails.exact is None
-    assert list(tails.tables) == [40]
-    assert len(tails.tables[40]) <= 41 and tails.tables[40].low == 0
+    for side in (_LOW, _HIGH):
+        assert list(tails.tables[side]) == [40]
+        assert len(tails.tables[side][40]) <= 41 and tails.tables[side][40].low == 0
     assert all(cols.asked.count(t) == 1 for t in range(2, 41))
 
 
@@ -694,8 +740,9 @@ def test_exact_queries_share_one_canonical_table():
             assert tail_bounds(sys, n, depth) == expected[n], (n, depth)
     tails = expansion._RECORDS[sys]
     assert (tails.pre, tails.period, tails.exact) == (50, 1, True)
-    assert sorted(tails.tables) == [40, 51]
-    assert len(tails.tables[51]) <= 52
+    for side in (_LOW, _HIGH):
+        assert sorted(tails.tables[side]) == [40, 51]
+        assert len(tails.tables[side][51]) <= 52
 
 
 def test_deep_encode_keeps_one_tail_table():
@@ -706,8 +753,9 @@ def test_deep_encode_keeps_one_tail_table():
     result = encode(sys, x, Fraction(1, 2 ** 512), max_len=256)
     assert len(result.digits) == 256
     tables = expansion._RECORDS[sys].tables
-    assert len(tables) == 1
-    assert sum(len(table) for table in tables.values()) == 3
+    for side in (_LOW, _HIGH):
+        assert len(tables[side]) == 1
+        assert sum(len(table) for table in tables[side].values()) == 3
 
 
 def test_value_range_known_systems():
