@@ -484,8 +484,8 @@ def test_step_table_survives_concurrent_extension():
     # switch interval, each extending the table a few positions per word,
     # so that their extensions interleave. On example-b the tails fill the
     # canonical tables; on example-a they fill the tables anchored at each
-    # side's resets and, near the depth, at depth 170. An exception in a thread is kept and
-    # fails the test, as a wrong answer does.
+    # side's resets and, near the depth, at depth 170. An exception in a
+    # thread is kept and fails the test, as a wrong answer does.
     rng = random.Random(SEED + 16)
     interval = getswitchinterval()
     setswitchinterval(1e-6)
