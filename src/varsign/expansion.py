@@ -18,14 +18,14 @@ contributing positions, all-singleton columns, all-contributing with a
 vanishing product, or an eventually periodic pattern solved by its fixed
 point).
 
-Each side of the tail is read from one table: the walk down to n from the
-side's anchor. An infinite column's limit pair (weight 1, entry 0) drives
-one side, the low side on a marked position and the high side elsewhere,
-and pins that side's tail before it to exactly 1, whatever lies beyond. So
-the anchor is the side's first reset past n when that reset lies at or
-before the depth, and its table serves every depth from there on;
-otherwise the anchor is the depth, and the table starts from the side's
-seed there.
+An infinite column's limit pair (weight 1, entry 0) drives one side, the
+low side on a marked position and the high side elsewhere, and pins that
+side's tail before it to exactly 1, whatever lies beyond. So a side's tail
+at n is settled once its first reset past n lies at or before the depth:
+the walk down from that reset serves every depth from there on. Each side
+keeps its settled tails by position and, per depth, the tails that depend
+on the depth; a query reads one of them or scans upward from n for the
+first reset or kept tail to walk down from.
 
 When the seeds are exact, the tails do not depend on the truncation depth
 at all: past the preperiod pre of the eventually periodic structure
@@ -175,7 +175,7 @@ def _structure_period(sys: DigitSystem) -> tuple:
 
 
 # Where each side's (a, q, c) sits in a step record; each side also keys its
-# tail tables and first resets by it.
+# tail stores by it.
 _LOW, _HIGH = 2, 3
 
 
@@ -195,17 +195,21 @@ class _SystemRecord:
     (`shared`), positions past pre + period read the record of their phase,
     and the table stops there; rule columns get one record per position.
 
-    Each side keeps its tail tables in `tables[side]`, keyed by their anchor
-    (see `tail_bounds`), and in `firsts[side]` the side's first reset past n
-    for each position n that a scan has passed. (pre, period) is that of the
-    structure, and `exact` says whether both seeds at pre + period are
-    points: None until a query at that depth or deeper decides it.
-    `infinite` is false when no column is infinite, so that no side ever
-    resets; rule columns may always have one. Every write stores the one
-    exact value of its key, so concurrent callers cannot corrupt a table.
+    Each side keeps its signed tails in two stores (see `tail_bounds`).
+    `settled[side]` maps n to (r, tail), where r is the side's first reset
+    past n and the tail is the same at every depth from r on; `tables[side]`
+    maps a depth to a dict n -> tail of the tails that depend on it, those
+    of positions with no reset of the side up to the depth. No query reads
+    one key from both. (pre, period) is that of the structure, and `exact`
+    says whether both seeds at pre + period are points: None until a query
+    at that depth or deeper decides it. `infinite` is false when no column
+    is infinite, so that no side ever resets; rule columns may always have
+    one. Every write stores the one exact value of its key, and a reader
+    starts a walk from any entry it finds, so concurrent callers cannot
+    corrupt a store.
     """
 
-    __slots__ = ("steps", "memos", "shared", "tables", "firsts", "infinite",
+    __slots__ = ("steps", "memos", "shared", "tables", "settled", "infinite",
                  "pre", "period", "exact")
 
     def __init__(self, sys: DigitSystem):
@@ -214,25 +218,11 @@ class _SystemRecord:
         self.memos = {}
         self.shared = periodic is not None
         self.tables = {_LOW: {}, _HIGH: {}}
-        self.firsts = {_LOW: {}, _HIGH: {}}
+        self.settled = {_LOW: {}, _HIGH: {}}
         self.infinite = periodic is None or any(
             sys.column(t).is_infinite for t in range(1, sum(periodic) + 1))
         self.pre, self.period = _structure_period(sys)
         self.exact = None
-
-
-class _Table(dict):
-    """One side's signed tails from one anchor: position -> Enclosure, started
-    at position `top` and filled downward. Every position from `low` up to
-    top is filled; `low` moves down only after the positions it passes are
-    written, so a reader takes it in one step and always walks from a filled
-    position."""
-
-    __slots__ = ("low",)
-
-    def __init__(self, top: int, tail: Enclosure):
-        super().__init__({top: tail})
-        self.low = top
 
 
 # system -> _SystemRecord, weakly keyed so that the tables live exactly as
@@ -361,14 +351,17 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     takes the same branch, and an exact seed is the fixed point of the
     recursion over one period, so exact tails repeat with that period.
 
-    Each side is then the walk down to n from its anchor: its first reset r
-    past n, from the point 1 at r - 1, when r lies at or before the depth, a
-    table that serves every depth from r on; otherwise the depth, from the
-    side's seed there. The reset is looked for over the positions that the
-    depth's table would walk, n + 1 up to its lowest filled position (up to
-    the depth before that table exists), and only on systems with an
-    infinite column, so a depth's table never walks past a reset of its
-    side. Tables grow backward only as far as the lowest position asked for.
+    Each side is then read from one of its two stores (`_SystemRecord`): at
+    n in the depth's table, or settled at n when its first reset r lies at
+    or before the depth. On a miss, positions t = n + 1 upward are scanned
+    for the first that starts a walk down to n: a reset of the side at t,
+    from the point 1 at t - 1, giving settled tails; a settled t whose reset
+    lies at or before the depth; a t in the depth's table; or the depth
+    itself, from the side's seed there. Resets are looked for only on
+    systems with an infinite column, and before the stores at each t, so a
+    depth's table never walks past a reset of its side and a settled tail
+    always keeps its first reset. Stores grow backward only as far as the
+    lowest position asked for.
     """
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"position must be >= 0, got {n!r}")
@@ -379,15 +372,12 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     if depth >= canonical:
         if rec.exact is None:
             # Decided once, by a query that pays for each side's seed at pre +
-            # period. Exact seeds start that depth's tables, except on a side
-            # that resets there: its tails below start from the reset.
+            # period; exact seeds start that depth's tables.
             seeds = {side: _tail_seed(sys, canonical, side) for side in (_LOW, _HIGH)}
-            exact = all(seed.is_point for seed in seeds.values())
-            if exact:
+            rec.exact = all(seed.is_point for seed in seeds.values())
+            if rec.exact:
                 for side, seed in seeds.items():
-                    if _first_reset(sys, side, canonical - 1, canonical) is None:
-                        rec.tables[side].setdefault(canonical, _Table(canonical, seed))
-            rec.exact = exact
+                    rec.tables[side].setdefault(canonical, {canonical: seed})
         if rec.exact:
             depth = canonical
             if n >= rec.pre:
@@ -396,52 +386,43 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
 
 
 def _side_tail(sys: DigitSystem, rec: _SystemRecord, side: int, n: int, depth: int):
-    """One side's signed tail at n for a query at depth, from the table of
-    its anchor (see `tail_bounds`)."""
-    tables = rec.tables[side]
-    table = tables.get(depth)
-    if table is not None and n >= table.low:
-        return table[n]
-    first = rec.firsts[side].get(n)
-    if first is not None and first <= depth:
-        return tables[first][n]
-    if first is None and rec.infinite:
-        first = _first_reset(sys, side, n, depth if table is None else table.low)
-        if first is not None:
-            tail = _walk(sys, tables.setdefault(first, _Table(first - 1, _RESET[side])), side, n)
-            rec.firsts[side].update(dict.fromkeys(range(n, first), first))
+    """One side's signed tail at n for a query at depth, read from its stores
+    or walked down to n from the first start the scan of `tail_bounds`
+    finds; each walked entry is kept in the store of its start, and only
+    the kept entries are reduced, the low side's negated."""
+    table = rec.tables[side].get(depth)
+    if table is not None:
+        tail = table.get(n)
+        if tail is not None:
             return tail
-    if table is None:
-        table = tables.setdefault(depth, _Table(depth, _tail_seed(sys, depth, side)))
-    return _walk(sys, table, side, n)
-
-
-def _first_reset(sys: DigitSystem, side: int, n: int, bound: int):
-    """The first position in n + 1..bound whose infinite column resets the
-    side, or None: the low side on marked positions, the high side elsewhere
-    (`_step`). A column is asked for only at positions of the side."""
-    marked = side == _LOW
-    for t in range(n + 1, bound + 1):
-        if sys.signs.contains(t) == marked and sys.column(t).is_infinite:
-            return t
-    return None
-
-
-def _walk(sys: DigitSystem, table: _Table, side: int, n: int) -> Enclosure:
-    """The side's signed tail at n from its table, its magnitude walked from
-    the table's lowest filled position down to n (`_side_walk`); only the
-    stored entries are reduced, the low side's negated."""
-    t = table.low
-    if n < t:
-        tail = table[t]
-        low = side == _LOW
-        start = _over_common(-tail.hi, -tail.lo) if low else _over_common(tail.lo, tail.hi)
-        for num_lo, num_hi, den in _side_walk(_steps(sys, t, n + 1), side, *start):
+    settled = rec.settled[side]
+    hit = settled.get(n)
+    if hit is not None and hit[0] <= depth:
+        return hit[1]
+    low = side == _LOW
+    for t in range(n + 1, depth + 1):
+        # A reset at t comes first: a settled tail at t keeps a later one.
+        if rec.infinite and sys.signs.contains(t) == low and sys.column(t).is_infinite:
             t -= 1
-            table[t] = _reduced(-num_hi, -num_lo, den) if low else _reduced(num_lo, num_hi, den)
-        if n < table.low:
-            table.low = n
-    return table[n]
+            store, reset, tail = settled, t + 1, _RESET[side]
+            settled[t] = reset, tail
+            break
+        hit = settled.get(t)
+        if hit is not None and hit[0] <= depth:
+            store, (reset, tail) = settled, hit
+            break
+        if table is not None and t in table:
+            store, reset, tail = table, None, table[t]
+            break
+    else:
+        store = rec.tables[side].setdefault(depth, {depth: _tail_seed(sys, depth, side)})
+        reset, tail = None, store[depth]
+    start = _over_common(-tail.hi, -tail.lo) if low else _over_common(tail.lo, tail.hi)
+    for num_lo, num_hi, den in _side_walk(_steps(sys, t, n + 1), side, *start):
+        t -= 1
+        tail = _reduced(-num_hi, -num_lo, den) if low else _reduced(num_lo, num_hi, den)
+        store[t] = tail if reset is None else (reset, tail)
+    return tail
 
 
 def _reduced(num_lo: int, num_hi: int, den: int) -> Enclosure:

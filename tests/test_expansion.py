@@ -483,18 +483,24 @@ def test_step_table_survives_concurrent_extension():
     # Four threads walk and query tails on one cold system with a tiny
     # switch interval, each extending the table a few positions per word,
     # so that their extensions interleave. On example-b the tails fill the
-    # canonical tables; on example-a they fill the tables anchored at each
-    # side's resets and, near the depth, at depth 170. An exception in a
-    # thread is kept and fails the test, as a wrong answer does.
+    # canonical tables; on example-a they are mostly settled from each
+    # side's resets and, near the depth, kept in the tables of depth 170.
+    # The listed system has no infinite column and pre + period = 51 past
+    # the depth, so only the tables of depth 40 serve it, and every walk
+    # starts from the lowest entry a scan finds while others write below
+    # it. An exception in a thread is kept and fails the test, as a wrong
+    # answer does.
     rng = random.Random(SEED + 16)
+    listed = DigitSystem(SignSet.from_list([50]), ListColumns((uniform_column(2),)))
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        for base in (make_classic(example_b()), make_classic(example_a())):
-            words = [random_word_digits(rng, base, n) for n in range(1, 160, 3)]
+        for base, depth in ((make_classic(example_b()), 170),
+                            (make_classic(example_a()), 170), (listed, 40)):
+            words = [random_word_digits(rng, base, n) for n in range(1, depth - 10, 3)]
             expected = [walk_prefix(base, digits) for digits in words]
-            tails = reference_tail_bounds(base, 170)
-            positions = list(range(len(words))) + list(range(150, 170))
+            tails = reference_tail_bounds(base, depth)
+            positions = list(range(len(words))) + list(range(depth - 20, depth))
             for _ in range(10):
                 shared = DigitSystem(base.signs, base.columns)
                 wrong, errors = [], []
@@ -505,7 +511,7 @@ def test_step_table_survives_concurrent_extension():
                             if (i < len(words)
                                     and prefix_walk(word(shared, words[i])) != expected[i]):
                                 wrong.append(i)
-                            if tail_bounds(shared, i, 170) != tails[i]:
+                            if tail_bounds(shared, i, depth) != tails[i]:
                                 wrong.append(-i)
                     except Exception as exc:  # reported by the assertion below
                         errors.append(repr(exc))
@@ -549,8 +555,8 @@ def test_step_table_reaches_a_rule_column_only_when_asked():
 def _check_depth_orders(sys, depths):
     """Every n < D against the reference at each depth D, asked of four cold
     copies: depths ascending or descending, and within a depth positions
-    ascending or descending. A pair kept from a deep query must not serve a
-    query shallower than its reset, and one kept from a shallow query must
+    ascending or descending. A tail settled by a deep query must not serve a
+    query shallower than its reset, and one settled by a shallow query must
     serve every deeper one."""
     expected = {depth: reference_tail_bounds(sys, depth) for depth in depths}
     for depth_step, n_step in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -568,13 +574,14 @@ def _resets(sys, side, first, last):
             if sys.column(t).is_infinite and sys.signs.contains(t) == (side == _LOW)]
 
 
-def _check_anchors(sys, depths):
+def _check_stores(sys, depths):
     """The sharing that `tail_bounds` states, after the sweep of
-    `_check_depth_orders` in each of its four orders. A table anchored at a
-    depth (it holds that position) walks past no reset of its side; a table
-    anchored at a reset r holds r - 1 down to its lowest position, each of
-    which has r as its side's first reset, and so does every position kept
-    in `firsts`. Wrong anchors would still give right values."""
+    `_check_depth_orders` in each of its four orders. Every settled n ->
+    (r, tail) has r as its side's first reset past n. The table of a depth
+    D walks past no reset of its side: none lies in min + 1..D, from its
+    lowest position on, except at D itself in the canonical table that the
+    exact decision starts at pre + period, which then holds D alone. Wrong
+    stores would still give right values."""
     for depth_step, n_step in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         cold = DigitSystem(sys.signs, sys.columns)
         for depth in sorted(depths)[::depth_step]:
@@ -582,13 +589,11 @@ def _check_anchors(sys, depths):
                 tail_bounds(cold, n, depth)
         rec = expansion._RECORDS[cold]
         for side in (_LOW, _HIGH):
-            for anchor, table in rec.tables[side].items():
-                if anchor in table:
-                    assert not _resets(sys, side, table.low + 1, anchor), (side, anchor)
-                else:
-                    assert sorted(table) == list(range(table.low, anchor)), (side, anchor)
-                    assert _resets(sys, side, table.low + 1, anchor) == [anchor], (side, anchor)
-            for n, first in rec.firsts[side].items():
+            for depth, table in rec.tables[side].items():
+                assert depth in table, (side, depth)
+                if table.keys() != {rec.pre + rec.period}:
+                    assert not _resets(sys, side, min(table) + 1, depth), (side, depth)
+            for n, (first, _) in rec.settled[side].items():
                 assert _resets(sys, side, n + 1, first) == [first], (side, n)
 
 
@@ -606,7 +611,7 @@ def test_reset_tails_match_the_reference_on_the_examples():
     # Example-a resets a side at every position (the high side on unmarked
     # ones, the low side on marked ones from 5 on), so each depth is just
     # below, at or above some reset. Position 8's sides reset at 9 and 11:
-    # its pair, kept from a deeper query, must not serve depths 9 and 10.
+    # its low tail, settled by a deeper query, must not serve depths 9 and 10.
     # Example-b resets only the high side; geometric-halves resets a side
     # at every position, and reads its canonical table from depth 2 on.
     halves = load_spec(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -614,7 +619,7 @@ def test_reset_tails_match_the_reference_on_the_examples():
     for sys in (make_classic(example_a()), make_classic(example_b()), halves):
         depths = _around_resets(sys, 40) | {120}
         _check_depth_orders(sys, depths)
-        _check_anchors(sys, depths)
+        _check_stores(sys, depths)
 
 
 _FINITE = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
@@ -644,7 +649,7 @@ def test_reset_tails_match_the_reference_on_mixed_columns(rule, columns):
     sys = DigitSystem(build_signs(rule), columns)
     depths = _around_resets(sys, 24)
     _check_depth_orders(sys, depths)
-    _check_anchors(sys, depths)
+    _check_stores(sys, depths)
 
 
 class _CountingColumns:
@@ -668,16 +673,19 @@ class _CountingColumns:
 
 
 def _anchors(sys):
-    """Each side's table anchors, in order."""
+    """Each side's first resets that its settled tails start from, in
+    order, on a system that keeps no table at a depth."""
     rec = expansion._RECORDS[sys]
-    return {side: sorted(rec.tables[side]) for side in (_LOW, _HIGH)}
+    assert rec.tables == {_LOW: {}, _HIGH: {}}
+    return {side: sorted({first for first, _ in rec.settled[side].values()})
+            for side in (_LOW, _HIGH)}
 
 
 def test_reset_tails_ask_no_column_past_both_first_resets():
     # Example-a's high side resets at position 1 (unmarked) and its low side
     # at 5, the first marked position, so the range is exact from depth 5
     # on: a query at depth 10^6 asks for no column past 5, and one at depth
-    # 5 reads the tables it kept. No table is anchored at a depth.
+    # 5 reads the tails it settled. No table is kept at a depth.
     base = make_classic(example_a())
     cols = _CountingColumns(base.columns, last=5)
     sys = DigitSystem(base.signs, cols)
@@ -688,7 +696,7 @@ def test_reset_tails_ask_no_column_past_both_first_resets():
     # Listed columns reset as well: one geometric column, with only
     # position 50 marked, resets the low side at 50 and the high side at 1,
     # so a query shallower than pre + period = 51 reads both from their
-    # resets, with no table anchored at a depth.
+    # resets, with no table kept at a depth.
     listed = DigitSystem(SignSet.from_list([50]), ListColumns(
         (GeometricColumn(Fraction(1, 2), Fraction(1, 2)),)))
     assert value_range(listed, 50) == reference_tail_bounds(listed, 50)[0]
@@ -699,9 +707,9 @@ def test_example_a_resets_within_three_positions():
     # From position 5 on, marks come in pairs, so any three consecutive
     # positions from 3 on hold a marked and an unmarked one: both sides of
     # the tail at n >= 2 reset by n + 3, and the stream (n, n + 3) is served
-    # without a table anchored at a depth. Asked from the top down, each
-    # query finds its own resets, since a scan keeps first resets only at
-    # its position and above.
+    # without a table kept at a depth. Asked from the top down, each query
+    # settles its tails from its own first resets, or reads them from a
+    # settled tail above it that starts from the same reset.
     sys = make_classic(example_a())
     for n in reversed(range(2, 60)):
         assert tail_bounds(sys, n, n + 3) == reference_tail_bounds(sys, n + 3)[n], n
@@ -728,7 +736,7 @@ def test_shallow_queries_keep_per_depth_tables(signs):
     assert tails.pre + tails.period > 40 and tails.exact is None
     for side in (_LOW, _HIGH):
         assert list(tails.tables[side]) == [40]
-        assert len(tails.tables[side][40]) <= 41 and tails.tables[side][40].low == 0
+        assert len(tails.tables[side][40]) <= 41 and min(tails.tables[side][40]) == 0
     assert all(cols.asked.count(t) == 1 for t in range(2, 41))
 
 
@@ -756,6 +764,25 @@ def test_deep_encode_keeps_one_tail_table():
     for side in (_LOW, _HIGH):
         assert len(tables[side]) == 1
         assert sum(len(table) for table in tables[side].values()) == 3
+
+
+def test_deep_encode_settles_reset_tails_by_position():
+    # Every column of example-a is infinite, so a deep encode reads most
+    # tails from the settled store of each side, one entry per position, and
+    # keeps tables only at the depths whose tails have no reset of the side
+    # before them. A settled tail never sits in the table of a depth at or
+    # past its reset, where it would be kept twice.
+    sys = make_classic(example_a())
+    rng = random.Random(1)
+    x = eval_prefix(word(sys, random_word_digits(rng, sys, 150)))
+    encode(sys, x, Fraction(1, 2 ** 512), max_len=256)
+    rec = expansion._RECORDS[sys]
+    counts = {side: (len(rec.tables[side]), len(rec.settled[side])) for side in (_LOW, _HIGH)}
+    assert counts == {_LOW: (45, 170), _HIGH: (44, 171)}
+    for side in (_LOW, _HIGH):
+        for n, (first, _) in rec.settled[side].items():
+            assert not any(n in table for depth, table in rec.tables[side].items()
+                           if depth >= first), (side, n)
 
 
 def test_value_range_known_systems():
