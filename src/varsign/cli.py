@@ -1,12 +1,16 @@
 """Command line front end.
 
 Every command loads a digit system from a JSON spec file (see specfile),
-works at a bounded depth, and builds one document: its results, with
-rationals as "p/q" strings and enclosures as {"lo": ..., "hi": ...}.
-`--format machine` prints the document as one JSON line with sorted keys;
-that is the stable interface.  `--format text` (the default) prints the same
-document through `_render`, one `key: value` line per field.  All arithmetic
-is exact, so repeated runs with the same inputs produce byte-identical output.
+works at a bounded depth, and returns one document: a dict of its results as
+library values (rationals, enclosures, digit words and result records).
+`_run` writes each document once, as one JSON line with sorted keys, and
+`_wire` decides the wire form: an enclosure is {"lo": ..., "hi": ...}, a
+rational a "p/q" string, a digit word its digit list, and a result record
+the object of its fields.  `--format machine` prints that line; it is the
+stable interface.  `--format text` (the default) parses it back and prints
+it through `_render`, one `key: value` line per field, so the text is a
+rendering of the machine document.  All arithmetic is exact, so repeated
+runs with the same inputs produce byte-identical output.
 
 The command line is `varsign COMMAND --spec FILE [OPTIONS]`.  One table,
 `_COMMANDS`, names each command's body and options; a small argv loop reads
@@ -21,18 +25,22 @@ time of the call.
 Exit codes: 0 success, 1 usage error, 2 bad spec (including a column whose
 entries are not positive or do not sum to 1) or an integer option above its
 ceiling (`_CEILINGS`), 3 domain error (value out of range, digit word hits a
-gap, division by a length that is not bounded away from zero).
+gap, division by a length that is not bounded away from zero, or a rational
+past the int-to-str limit).
 """
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import is_dataclass
+from fractions import Fraction
 
 from .cylinders import cylinder, cylinder_bounds, metric_ratio, placement
 from .encoder import encode, theorem_check
 from .errors import SpecError, VarsignError
-from .expansion import DEFAULT_DEPTH, read_depth, value_range, word, word_bounds
-from .numerics import format_enclosure, format_rational, parse_rational
+from .expansion import (DEFAULT_DEPTH, DigitWord, read_depth, value_range, word,
+                        word_bounds)
+from .numerics import Enclosure, format_enclosure, format_rational, parse_rational
 from .specfile import MAX_DIGITS, load_spec
 
 DEFAULT_TOLERANCE = "1/1073741824"  # 2**-30
@@ -80,6 +88,23 @@ def _rational_arg(text: str):
         raise _UsageError(str(exc)) from None
 
 
+def _wire(value):
+    """The JSON form of a library value in a document: an enclosure as
+    {"lo": ..., "hi": ...}, a rational as "p/q", a digit word as its digit
+    list, and any other dataclass record as the object of its fields. Any
+    other object is a TypeError, so no internals are written."""
+    # Enclosures come first: they are most of the values in a document.
+    if isinstance(value, Enclosure):
+        return format_enclosure(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, DigitWord):
+        return value.digits
+    if is_dataclass(type(value)):
+        return vars(value)
+    raise TypeError(f"no wire form for {type(value).__name__}")
+
+
 def _text(value) -> str:
     """One document value as text: an enclosure as [lo, hi], a list
     comma-joined, an object as `k=v` pairs, a string bare, and any other
@@ -108,14 +133,11 @@ def _render(doc: dict) -> None:
 
 def validate(system, depth):
     """Certify that the product of column sup-entries vanishes."""
-    report = system.validate(depth)
     return {
-        "depth": report.depth,
+        **vars(system.validate(depth)),
         # Columns are checked when built, so these two fields are constant.
         "ok": True,
         "failures": [],
-        "condition3": report.condition3,
-        "condition3_product": format_rational(report.condition3_product),
     }
 
 
@@ -124,8 +146,8 @@ def range_cmd(system, depth):
     lo, hi = value_range(system, depth)
     return {
         "depth": depth,
-        "infimum": format_enclosure(lo),
-        "supremum": format_enclosure(hi),
+        "infimum": lo,
+        "supremum": hi,
     }
 
 
@@ -136,9 +158,11 @@ def eval_cmd(system, depth, digits):
     value, inf, sup = word_bounds(w, use_depth)
     return {
         "depth": use_depth,
-        "digits": list(w.digits),
+        "digits": w,
+        # Formatted here, before `_wire` writes the rest, so a word whose
+        # value passes the int-to-str limit is reported by that value's size.
         "prefix_value": format_rational(value),
-        "enclosure": format_enclosure(inf.hull(sup)),
+        "enclosure": inf.hull(sup),
     }
 
 
@@ -147,18 +171,11 @@ def encode_cmd(system, depth, target, tol, max_len):
     x = _rational_arg(target)
     tolerance = _rational_arg(tol)
     result = encode(system, x, tolerance, max_len=max_len, depth=depth)
-    doc = {
-        "x": format_rational(x),
-        "tolerance": format_rational(tolerance),
-        "digits": list(result.digits.digits),
-        "status": result.status,
-        "gap_position": result.gap_position,
-        "residual": format_enclosure(result.residual),
-    }
+    doc = {**vars(result), "x": x, "tolerance": tolerance}
     if result.status != "gap":
         return doc
     print(f"gap: no digit at position {result.gap_position} after the "
-          f"chosen prefix has a hull that contains {doc['x']}; other "
+          f"chosen prefix has a hull that contains {format_rational(x)}; other "
           "prefixes were not searched", file=sys.stderr)
     return doc, 3
 
@@ -173,15 +190,14 @@ def cylinder_cmd(system, depth, base, table_limit):
     ratios = []
     digit = 0
     while col.digit_valid(digit) and len(ratios) < table_limit:
-        ratio = metric_ratio(cyl, digit, use_depth)
-        ratios.append({"digit": digit, "ratio": format_enclosure(ratio)})
+        ratios.append({"digit": digit, "ratio": metric_ratio(cyl, digit, use_depth)})
         digit += 1
     return {
-        "base": list(cyl.base.digits),
+        "base": cyl.base,
         "depth": use_depth,
-        "infimum": format_enclosure(inf_enc),
-        "supremum": format_enclosure(sup_enc),
-        "length": format_enclosure(sup_enc.sub(inf_enc)),
+        "infimum": inf_enc,
+        "supremum": sup_enc,
+        "length": sup_enc.sub(inf_enc),
         "ratios": ratios,
     }
 
@@ -190,21 +206,9 @@ def placement_cmd(system, depth, base, digit):
     """Compare the cylinders of consecutive digits at one position."""
     prefix = _parse_digits(base, allow_empty=True)
     use_depth = read_depth(depth, len(prefix) + 1)
-    rep = placement(system, prefix, digit, use_depth)
-    return {
-        "position": rep.position,
-        "digit": rep.digit,
-        "depth": use_depth,
-        "kappa1": format_enclosure(rep.kappa1),
-        "kappa2": format_enclosure(rep.kappa2),
-        "nu1": format_enclosure(rep.nu1),
-        "nu2": format_enclosure(rep.nu2),
-        "omega1": format_enclosure(rep.omega1),
-        "omega2": format_enclosure(rep.omega2),
-        "orientation": rep.orientation,
-        "overlap_class": rep.overlap_class,
-        "measure": format_enclosure(rep.overlap_or_gap_measure),
-    }
+    doc = {**vars(placement(system, prefix, digit, use_depth)), "depth": use_depth}
+    doc["measure"] = doc.pop("overlap_or_gap_measure")
+    return doc
 
 
 def theorem_cmd(system, depth, rank):
@@ -217,17 +221,7 @@ def theorem_cmd(system, depth, rank):
             None if verdict.failure is None
             else {"position": verdict.failure[0], "digit": verdict.failure[1]}
         ),
-        "checks": [
-            {
-                "position": c.position,
-                "digit": c.digit,
-                "status": c.status,
-                "left": format_enclosure(c.left),
-                "right": format_enclosure(c.right),
-                "covers_column": c.covers_column,
-            }
-            for c in verdict.checks
-        ],
+        "checks": verdict.checks,
     }
 
 
@@ -243,7 +237,7 @@ _COMMON = (
 
 # command -> (body, its own options). The body is called with the loaded
 # system, the depth and its own options' values in this order, and returns
-# its document or (document, exit code).
+# its document or (document, exit code); `_wire` writes the values in it.
 _COMMANDS = {
     "validate": (validate, ()),
     "range": (range_cmd, ()),
@@ -396,10 +390,11 @@ def _run(command: str, rest) -> int:
                   *(values[option[0]] for option in own))
     doc, code = result if isinstance(result, tuple) else (result, 0)
     doc["command"] = command
+    line = json.dumps(doc, sort_keys=True, default=_wire)
     if values["--format"] == "machine":
-        print(json.dumps(doc, sort_keys=True))
+        print(line)
     else:
-        _render(doc)
+        _render(json.loads(line))
     return code
 
 

@@ -66,7 +66,7 @@ class PairCheck:
     status: str
     left: Enclosure
     right: Enclosure
-    covers_column: bool = False
+    covers_column: bool
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class EncodeResult:
     digits: DigitWord
     residual: Enclosure
     status: str              # "converged" | "max-depth-reached" | "gap"
-    gap_position: "int | None" = None
+    gap_position: "int | None"
 
 
 def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,

@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from varsign import parse_enclosure, parse_rational
-from varsign.cli import main
+from varsign import (Enclosure, encode, load_spec, parse_enclosure, parse_rational,
+                     placement, theorem_check, word)
+from varsign.cli import _wire, main
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "presets")
 
@@ -165,6 +167,57 @@ def test_machine_output_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def wire(value):
+    """`value` as `_run` writes it, read back from JSON."""
+    return json.loads(json.dumps(value, sort_keys=True, default=_wire))
+
+
+def enc(lo, hi):
+    return {"lo": lo, "hi": hi}
+
+
+def test_wire_writes_rationals_enclosures_and_words():
+    nega = load_spec(NEGA)
+    assert wire(Fraction(-6, 4)) == "-3/2"
+    assert wire(Fraction(0)) == "0/1"
+    assert wire(Enclosure(Fraction(-1, 12), Fraction(1, 6))) == enc("-1/12", "1/6")
+    assert wire(word(nega, (1, 0, 1))) == [1, 0, 1]
+    assert wire(word(nega, ())) == []
+
+
+def test_wire_writes_records_as_the_command_bodies_did():
+    """Each record is the object of its fields, with the keys and strings
+    that the commands wrote field by field before `_wire` existed."""
+    nega = load_spec(NEGA)
+    assert wire(nega.validate(40)) == {
+        "depth": 40, "condition3": "CERTIFIED", "condition3_product": "1/1099511627776"}
+    assert wire(encode(nega, Fraction(-1, 4), Fraction(1, 2**30), max_len=2)) == {
+        "digits": [1, 1], "status": "max-depth-reached", "gap_position": None,
+        "residual": enc("-1/12", "1/6")}
+    assert wire(placement(nega, (), 0, 40)) == {
+        "position": 1, "digit": 0,
+        "kappa1": enc("1/1", "1/1"), "kappa2": enc("0/1", "0/1"),
+        "nu1": enc("-1/1", "-1/1"), "nu2": enc("0/1", "0/1"),
+        "omega1": enc("2/3", "2/3"), "omega2": enc("1/3", "1/3"),
+        "orientation": "right-to-left", "overlap_class": "one-point",
+        "overlap_or_gap_measure": enc("0/1", "0/1")}
+    halves = load_spec(preset("geometric-halves.json"))
+    assert wire(theorem_check(nega, 1).checks + theorem_check(halves, 1).checks) == [
+        {"position": 1, "digit": 0, "status": "holds", "left": enc("1/3", "1/3"),
+         "right": enc("1/3", "1/3"), "covers_column": False},
+        {"position": 1, "digit": 0, "status": "holds", "left": enc("1/4", "1/4"),
+         "right": enc("1/4", "1/4"), "covers_column": True},
+    ]
+
+
+@pytest.mark.parametrize("value", [load_spec(NEGA), object(), {1, 2}])
+def test_wire_refuses_other_objects(value):
+    with pytest.raises(TypeError):
+        _wire(value)
+    with pytest.raises(TypeError):
+        wire({"value": value})
 
 
 HELP = os.path.join(os.path.dirname(__file__), "golden", "help")

@@ -20,7 +20,7 @@ from unittest import mock
 
 import pytest
 
-from varsign.cli import main
+from varsign.cli import _render, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -248,8 +248,14 @@ def rationals(value):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_text_shows_every_machine_field(name):
+    """The text is the machine document rendered: `_render` of the parsed
+    machine stdout prints it exactly, and it names every field and rational."""
     doc = json.loads(run_case(name)[1])
     text = run_case(name, "text")[1]
+    rendered = io.StringIO()
+    with contextlib.redirect_stdout(rendered):
+        _render(doc)
+    assert text == rendered.getvalue()
     keys = {line.partition(":")[0] for line in text.splitlines()}
     assert set(doc) <= keys
     assert rationals(doc) <= set(RATIONAL.findall(text))
