@@ -95,8 +95,6 @@ def theorem_check(sys: DigitSystem, depth: int,
             f"tail depth must exceed check depth {depth}, got {tail_depth!r}"
         )
     checks = []
-    failure = None
-    saw_undecided = False
     for n in range(1, depth + 1):
         lo, omega1 = tail_bounds(sys, n, tail_depth)
         omega2 = lo.neg()
@@ -115,18 +113,15 @@ def theorem_check(sys: DigitSystem, depth: int,
             right = grow.scale(col.entry(i + 1))
             status = _pair_status(left, right)
             checks.append(PairCheck(n, i, status, left, right, covers))
-            if status == FAILS and failure is None:
-                failure = (n, i)
-            elif status == UNDECIDED:
-                saw_undecided = True
-    if failure is not None:
+    failures = [(c.position, c.digit) for c in checks if c.status == FAILS]
+    if failures:
         overall = "fails-at"
-    elif saw_undecided:
+    elif any(c.status == UNDECIDED for c in checks):
         overall = UNDECIDED
     else:
         overall = "holds-to-depth"
-    return TheoremVerdict(depth=depth, checks=tuple(checks),
-                          overall=overall, failure=failure)
+    return TheoremVerdict(depth=depth, checks=tuple(checks), overall=overall,
+                          failure=failures[0] if failures else None)
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
     digits = []
     r, tol = x, tolerance   # (x - value) / weight and tolerance / weight
     hull = Enclosure(lo0.lo, hi0.hi)
-    seen = {}       # (phase, r) before a position -> (that position, tol)
+    seen = {}       # (phase, r) before a position -> that position
     trail = []      # (r, tol, hull) after each position
 
     def result(status, gap_position=None):
@@ -168,12 +163,13 @@ def encode(sys: DigitSystem, x, tolerance, max_len: int = 64,
     for n in range(1, max_len + 1):
         phase = tail_phase(sys, n)
         if phase is not None:
-            first, tol_first = seen.setdefault((phase, r), (n, tol))
+            first = seen.setdefault((phase, r), n)
             if first < n:
-                # Positions first..n-1 repeat from n on.
+                # Positions first..n-1 repeat from n on; first > pre + period
+                # >= 1, so trail[first - 2] holds the tol before first.
                 cycle = digits[first - 1:]
                 end, status = _cycle_stop(trail[first - 1:], first,
-                                          tol / tol_first, max_len)
+                                          tol / trail[first - 2][1], max_len)
                 digits += [cycle[(t - first) % len(cycle)] for t in range(n, end + 1)]
                 r, _, hull = trail[first - 1 + (end - first) % len(cycle)]
                 return result(status)
@@ -230,33 +226,31 @@ def _cycle_stop(cycle: list, first: int, growth: Fraction, max_len: int) -> tupl
     one of them failing the stop test, and `growth` the factor that a whole
     cycle multiplies tol by.
 
-    Position first + i + k*len(cycle) has the r and hull of cycle[i] and tol
-    times growth**k, so it stops at the least k with tol * growth**k >= width.
-    Each i bisects that k over exact powers, up to the last whole cycle that
-    would still stop before the best position found so far (or at max_len).
+    Position first + i + k*period (k >= 1) has the r and hull of cycle[i]
+    and tol times growth**k, so it stops when growth**k reaches cycle[i]'s
+    ratio hull.width / tol (> 1, since the first cycle did not stop).
+    Positions run in the order (k, i): whole cycles k, then offset i. So the
+    first position to stop has the least k at which growth**k reaches the
+    least ratio, found by one bisection over exact powers up to the last
+    whole cycle that starts by max_len, and then the least i whose ratio
+    that power reaches. A stop past max_len is no stop.
     """
     period = len(cycle)
-    powers = {}
-
-    def power(k):
-        if k not in powers:
-            powers[k] = growth ** k
-        return powers[k]
-
-    stop = None
-    for i, (_, tol, hull) in enumerate(cycle):
-        ratio = hull.width / tol            # > 1: the first cycle did not stop
-        lo, hi = 0, ((stop - 1 if stop else max_len) - first - i) // period
-        if hi < 1 or power(hi) < ratio:
-            continue
-        while hi - lo > 1:                  # power(lo) < ratio <= power(hi)
-            mid = (lo + hi) // 2
-            if power(mid) < ratio:
-                lo = mid
-            else:
-                hi = mid
-        stop = first + i + hi * period
-    return (stop, "converged") if stop else (max_len, "max-depth-reached")
+    ratios = [hull.width / tol for _, tol, hull in cycle]
+    least = min(ratios)
+    lo, hi = 0, (max_len - first) // period
+    if growth ** hi < least:                # hi == 0 too: growth**0 = 1 < least
+        return max_len, "max-depth-reached"
+    while hi - lo > 1:                      # growth**lo < least <= growth**hi
+        mid = (lo + hi) // 2
+        if growth ** mid < least:
+            lo = mid
+        else:
+            hi = mid
+    power = growth ** hi
+    i = next(i for i, ratio in enumerate(ratios) if ratio <= power)
+    stop = first + i + hi * period
+    return (stop, "converged") if stop <= max_len else (max_len, "max-depth-reached")
 
 
 def roundtrip_verify(sys: DigitSystem, x, result: EncodeResult,

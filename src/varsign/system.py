@@ -15,13 +15,18 @@ Columns are indexed by digits from 0 and answer `is_infinite`, `top_digit`,
 `digit_valid`, `entry`, `weight` and `sup_entry`; providers answer `column`,
 `periodicity` and `claims_vanishing_product`. `weight(i)` is the sum of the
 entries below digit i, the quantity the series evaluator multiplies by the
-running product of entries; the mass from digit i on is 1 - weight(i). A
-uniform column of s digits (every classic and every `uniform` spec) is
-symbolic: it stores only s and the entry 1/s, and answers every query in O(1)
-whatever s. An explicit finite column checks its entries once when built and
-answers `weight` in O(1) from an exact prefix-sum table built on the first
-call, so loading a spec never builds it. A geometric column is infinite and
-answers from closed forms in its ratio.
+running product of entries; the mass from digit i on is 1 - weight(i).
+
+A column's constants are decided once: `is_infinite` is a constant of its
+class, and `top_digit` and `sup_entry` are fixed when the column is built,
+so reading them computes nothing. The one exception is an explicit finite
+column's `sup_entry`, kept lazy with its prefix-sum table because each takes
+a pass over the entries. A uniform column of s digits (every classic and
+every `uniform` spec) is symbolic: it stores only s, and answers every query
+in O(1) whatever s. An explicit finite column checks its entries once when
+built and answers `weight` in O(1) from an exact prefix-sum table built on
+the first call, so loading a spec never builds it. A geometric column is
+infinite and answers from closed forms in its ratio.
 """
 from __future__ import annotations
 
@@ -166,20 +171,33 @@ class SignSet:
 # Columns
 
 
+def _finite_digit(col, i: int) -> int:
+    """i, when it is a digit of the finite column col; else a DomainError.
+
+    The one check behind `entry` and `weight` of both finite column classes.
+    """
+    if not (isinstance(i, int) and 0 <= i <= col.top_digit):
+        raise DomainError(f"digit {i} outside 0..{col.top_digit}")
+    return i
+
+
 @dataclass(frozen=True)
 class FiniteColumn:
     """An explicit finite column of weights indexed by digits 0..top_digit.
 
     Built from `finite` spec lists and hand-made columns; uniform columns
     use the symbolic `UniformColumn` instead. The constructor refuses an
-    empty column, an entry <= 0 and entries whose sum is not 1.
-    `weight(i)` is read from `_prefix`, the exact sums of the first 0..s
-    entries, built on the first call and kept on the instance, as is
-    `sup_entry`. Neither is a dataclass field, so equality, hashing and
-    `repr` ignore both.
+    empty column, an entry <= 0 and entries whose sum is not 1, and fixes
+    `top_digit` then. `weight(i)` is read from `_prefix`, the exact sums of
+    the first 0..s entries, and `sup_entry` is the largest entry; both take
+    a pass over the entries, so both are built on the first read and kept
+    on the instance: loading a spec, which builds every column, builds
+    neither. None of the three is a dataclass field, so equality, hashing
+    and `repr` ignore them.
     """
 
     entries: tuple
+    is_infinite = False
 
     def __post_init__(self):
         if not self.entries:
@@ -192,31 +210,20 @@ class FiniteColumn:
         if total != 1:
             raise ConstructionError(f"column sum {total} != 1")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
-    @property
-    def top_digit(self) -> int:
-        return len(self.entries) - 1
+        object.__setattr__(self, "top_digit", len(entries) - 1)
 
     def digit_valid(self, i: int) -> bool:
         return isinstance(i, int) and 0 <= i <= self.top_digit
 
     def entry(self, i: int) -> Fraction:
-        if not self.digit_valid(i):
-            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
-        return self.entries[i]
+        return self.entries[_finite_digit(self, i)]
 
     @cached_property
     def _prefix(self) -> tuple:
         return tuple(accumulate(self.entries, initial=ZERO))
 
     def weight(self, i: int) -> Fraction:
-        if not self.digit_valid(i):
-            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
-        return self._prefix[i]
+        return self._prefix[_finite_digit(self, i)]
 
     @cached_property
     def sup_entry(self) -> Fraction:
@@ -227,41 +234,29 @@ class FiniteColumn:
 class UniformColumn:
     """The column of s equal entries 1/s, digits 0..s-1, in closed form.
 
-    Only s and the entry 1/s are stored, so every query is O(1) whatever s:
-    weight(i) = i/s and sup entry 1/s.
+    Only s is a field; the constructor fixes `top_digit` = s - 1 and
+    `sup_entry` = 1/s, the one entry, so every query is O(1) whatever s:
+    weight(i) = i/s.
     """
 
     s: int
+    is_infinite = False
 
     def __post_init__(self):
         if not isinstance(self.s, int) or self.s < 2:
             raise ConstructionError("uniform column needs at least 2 digits")
-        object.__setattr__(self, "_entry", Fraction(1, self.s))
-
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
-    @property
-    def top_digit(self) -> int:
-        return self.s - 1
+        object.__setattr__(self, "top_digit", self.s - 1)
+        object.__setattr__(self, "sup_entry", Fraction(1, self.s))
 
     def digit_valid(self, i: int) -> bool:
         return isinstance(i, int) and 0 <= i < self.s
 
     def entry(self, i: int) -> Fraction:
-        if not self.digit_valid(i):
-            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
-        return self._entry
+        _finite_digit(self, i)
+        return self.sup_entry
 
     def weight(self, i: int) -> Fraction:
-        if not self.digit_valid(i):
-            raise DomainError(f"digit {i} outside 0..{self.top_digit}")
-        return Fraction(i, self.s)
-
-    @property
-    def sup_entry(self) -> Fraction:
-        return self._entry
+        return Fraction(_finite_digit(self, i), self.s)
 
 
 @dataclass(frozen=True)
@@ -269,16 +264,20 @@ class GeometricColumn:
     """The built-in infinite column rule: entry(i) = scale * ratio**i.
 
     The constructor refuses a ratio outside (0, 1) and scale + ratio != 1,
-    so the entries are positive and sum to 1. The mass from digit i on is
-    ratio**i, which makes digit weights exact: weight(i) = 1 - ratio**i.
-    Each digit's pair (weight(i), entry(i)) is computed once, from one power
-    of the ratio, and kept in `_pairs`, a dict on the instance that is not a
-    dataclass field, so equality, hashing and `repr` ignore it. The digit is
-    checked before the lookup: 1.0 hashes like 1, and must still be refused.
+    so the entries are positive and sum to 1; it fixes `sup_entry` = scale,
+    the entry of digit 0, and the column has no `top_digit` (None). The mass
+    from digit i on is ratio**i, which makes digit weights exact:
+    weight(i) = 1 - ratio**i. Each digit's pair (weight(i), entry(i)) is
+    computed once, from one power of the ratio, and kept in `_pairs`, a dict
+    on the instance that is not a dataclass field, so equality, hashing and
+    `repr` ignore it. The digit is checked before the lookup: 1.0 hashes
+    like 1, and must still be refused.
     """
 
     scale: Fraction
     ratio: Fraction
+    is_infinite = True
+    top_digit = None
 
     def __post_init__(self):
         scale, ratio = Fraction(self.scale), Fraction(self.ratio)
@@ -288,15 +287,8 @@ class GeometricColumn:
             raise ConstructionError(f"column sum {scale / (1 - ratio)} != 1")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "sup_entry", scale)
         object.__setattr__(self, "_pairs", {})
-
-    @property
-    def is_infinite(self) -> bool:
-        return True
-
-    @property
-    def top_digit(self) -> None:
-        return None
 
     def digit_valid(self, i: int) -> bool:
         return isinstance(i, int) and i >= 0
@@ -315,10 +307,6 @@ class GeometricColumn:
 
     def weight(self, i: int) -> Fraction:
         return self._pair(i)[0]
-
-    @property
-    def sup_entry(self) -> Fraction:
-        return self.scale
 
 
 def uniform_column(s: int) -> UniformColumn:

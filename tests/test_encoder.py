@@ -469,3 +469,70 @@ def test_encode_and_eval_read_the_same_depth(capsys):
                     if len(digits) > depth:
                         past_depth.add(os.path.basename(path))
     assert len(past_depth) == 7
+
+
+def _scanned_cycle_stop(cycle, first, growth, max_len):
+    """_cycle_stop by a plain scan: position first + i + k*period (k >= 1)
+    stops when cycle[i]'s ratio hull.width / tol is at most growth**k."""
+    period = len(cycle)
+    for t in range(first + period, max_len + 1):
+        k, i = divmod(t - first, period)
+        _, tol, hull = cycle[i]
+        if hull.width / tol <= growth ** k:
+            return t, "converged"
+    return max_len, "max-depth-reached"
+
+
+def test_cycle_stop_matches_a_plain_scan():
+    rng = random.Random(SEED + 10)
+    seen = set()
+    for _ in range(300):
+        period, first = rng.randint(1, 5), rng.randint(2, 12)
+        growth = rng.choice((Fraction(1), Fraction(2), Fraction(3, 2),
+                             Fraction(9, 8), Fraction(rng.randint(2, 40))))
+        cycle = []
+        for _ in range(period):
+            tol = Fraction(1, rng.randint(1, 50))
+            if growth > 1 and rng.random() < 0.3:
+                ratio = growth ** rng.randint(1, 6)      # a stop exactly at a power
+            else:
+                ratio = 1 + Fraction(rng.randint(1, 2000), rng.randint(1, 40))
+            cycle.append((Fraction(rng.randint(-3, 3), 7), tol,
+                          Enclosure(Fraction(-1, 3), Fraction(-1, 3) + ratio * tol)))
+        # The first stop with no bound, or None when growth == 1: a cycle
+        # of singleton columns never widens tol.
+        unbounded = _scanned_cycle_stop(cycle, first, growth, first + 200 * period)
+        stop = unbounded[0] if unbounded[1] == "converged" else None
+        lengths = [first + rng.randrange(period), first + period + rng.randrange(60)]
+        if stop is not None:
+            lengths += [stop - 1, stop, stop + rng.randint(1, 2 * period)]
+        for max_len in lengths:
+            got = encoder._cycle_stop(cycle, first, growth, max_len)
+            assert got == _scanned_cycle_stop(cycle, first, growth, max_len), \
+                (cycle, first, growth, max_len)
+            if max_len - first < period:
+                seen.add("shorter than a period")
+            elif stop is None:
+                seen.add("never")
+            else:
+                seen.add("before" if stop < max_len else "at" if stop == max_len else "past")
+    assert seen == {"shorter than a period", "never", "before", "at", "past"}
+
+
+def test_theorem_verdict_names_the_first_failure(monkeypatch):
+    # s_adic(3) to depth 3 has six checks, (position, digit) = (1, 0), (1, 1),
+    # (2, 0), ...; an undecided check comes before the first failure and a
+    # second failure follows it.
+    system = make_classic(s_adic(3))
+    scripts = {
+        ("holds", "undecided", "holds", "fails", "undecided", "fails"): ("fails-at", (2, 1)),
+        ("fails", "holds", "holds", "holds", "holds", "fails"): ("fails-at", (1, 0)),
+        ("holds", "holds", "undecided", "holds", "holds", "holds"): ("undecided", None),
+        ("holds",) * 6: ("holds-to-depth", None),
+    }
+    for script, (overall, failure) in scripts.items():
+        statuses = iter(script)
+        monkeypatch.setattr(encoder, "_pair_status", lambda left, right: next(statuses))
+        verdict = theorem_check(system, 3, tail_depth=40)
+        assert [c.status for c in verdict.checks] == list(script)
+        assert (verdict.overall, verdict.failure) == (overall, failure)

@@ -10,14 +10,17 @@ False, or the ends `.lo` and `.hi` of an enclosure swap. Docstrings are left
 alone. For every mutant the tool writes the unparsed tree over the module in
 a copy of the repository (src, tests, presets and bench, in a temporary
 directory, so TMPDIR chooses where) and runs pytest there with -x, on the given test paths (default: tests). A
-mutant is killed when the run fails, timed out when it exceeds three times
-the unmutated run's time plus 10 s, and survives when it passes.
+mutant survives when the run passes, and is killed when it fails or hangs.
 
-Every run, the unmutated one included, is also capped at MEMORY_CAP bytes of
-address space (RLIMIT_AS, inherited by the processes it starts), so a
-mutant that turns a bounded walk into an unbounded one cannot exhaust the
-host. A run that hits the cap fails (a MemoryError or a refused
-allocation), so its mutant counts as killed.
+Every run, the unmutated one included, is bounded twice: its address space
+is capped at MEMORY_CAP bytes (RLIMIT_AS, inherited by the processes it
+starts), so a mutant that turns a bounded walk into an unbounded one cannot
+exhaust the host, and its time at three times the unmutated run's plus
+10 s. A run that hits the cap fails (a MemoryError or a refused
+allocation); a run that hits the timeout is stopped. Either way the mutant
+counts as killed, as PIT and Stryker count a timeout as detected, so a
+runaway mutant lands in the same bucket whichever bound fires first on the
+host; a mutant stopped by the timeout keeps a note saying that it hung.
 
 The result goes to MUTANTS.json at the repository root, which keeps one
 section per module under "modules", keyed by the module's path: counts, and
@@ -195,17 +198,20 @@ def main(argv: list) -> int:
         for ident, function, line, description, mutated in mutants(source):
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(mutated)
-            outcome = _run(copy, tests, timeout=3 * baseline + 10)
-            status = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
+            timeout = 3 * baseline + 10
+            outcome = _run(copy, tests, timeout=timeout)
+            status = "survived" if outcome == "passed" else "killed"
             entry = {"id": ident, "function": function, "line": line,
                      "mutation": description, "status": status}
-            if status == "survived" and ident in notes:
+            if outcome == "timed-out":
+                entry["note"] = f"hung: stopped at the {timeout:.0f} s timeout"
+            elif status == "survived" and ident in notes:
                 entry["note"] = notes[ident]
             results.append(entry)
             print(f"{entry['status']:8s} {ident}", flush=True)
 
     counts = {status: sum(1 for r in results if r["status"] == status)
-              for status in ("killed", "timed-out", "survived")}
+              for status in ("killed", "survived")}
     sections[module] = {
         "command": "python -m pytest -x -q -p no:cacheprovider " + " ".join(tests),
         "total": len(results),
