@@ -192,13 +192,12 @@ def main(argv: list) -> int:
         if _run(copy, tests) != "passed":
             print("the unmutated tests fail; no mutant can be judged", file=sys.stderr)
             return 1
-        baseline = time.perf_counter() - start
+        timeout = 3 * (time.perf_counter() - start) + 10
         target = os.path.join(copy, module)
         results = []
         for ident, function, line, description, mutated in mutants(source):
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(mutated)
-            timeout = 3 * baseline + 10
             outcome = _run(copy, tests, timeout=timeout)
             status = "survived" if outcome == "passed" else "killed"
             entry = {"id": ident, "function": function, "line": line,
