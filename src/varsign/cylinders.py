@@ -3,8 +3,12 @@
 The cylinder of a base word is the closed set of values of all its
 continuations. Its endpoints are the base's exact partial value plus the
 base weight times the two extremal tails, so every geometric quantity here
-is an Enclosure built from the public `word_bounds`, `prefix_weight` and
-`tail_bounds` of the expansion module.
+is an Enclosure read from the public `word_bounds`, `prefix_weight` and
+`tail_bounds` of the expansion module. Each endpoint a function returns is
+one expression in those values, reduced once, not a chain of interval
+operations: `word_bounds` builds the cylinder's endpoints from the prefix
+walk's integers, and placement builds each kappa endpoint as weight * (lead
++ q_a*omega_a + q_b*omega_b), a point when both tails are points.
 
 Placement compares the cylinders of adjacent digits c and c+1 at the first
 free position. kappa1 is (sup of the c-cylinder) - (inf of the (c+1)-cylinder)
@@ -120,6 +124,16 @@ class PlacementReport:
     overlap_or_gap_measure: Enclosure
 
 
+def _kappa(weight, lead, q_a, omega_a: Enclosure, q_b, omega_b: Enclosure) -> Enclosure:
+    """weight * (lead + q_a*omega_a + q_b*omega_b), endpoint by endpoint:
+    the weight and both entries are positive, so each end of the tails
+    gives the same end of the result, and point tails give a point."""
+    lo = weight * (lead + q_a * omega_a.lo + q_b * omega_b.lo)
+    if omega_a.is_point and omega_b.is_point:
+        return Enclosure(lo, lo)
+    return Enclosure(lo, weight * (lead + q_a * omega_a.hi + q_b * omega_b.hi))
+
+
 def placement(system: DigitSystem, base, digit: int,
               depth: int = DEFAULT_DEPTH) -> PlacementReport:
     """Compare the cylinders of `digit` and `digit`+1 after `base`.
@@ -145,14 +159,9 @@ def placement(system: DigitSystem, base, digit: int,
 
     # kappa1 = sup(c) - inf(c+1): leading term +q_c on marked positions,
     # -q_c otherwise; kappa2 swaps both the leading sign and the tails.
-    lead1 = q_c if marked else -q_c
-    lead2 = -q_c if marked else q_c
-    kappa1 = (
-        omega1.scale(q_c).add(omega2.scale(q_next)).shift(lead1).scale(weight)
-    )
-    kappa2 = (
-        omega1.scale(q_next).add(omega2.scale(q_c)).shift(lead2).scale(weight)
-    )
+    lead = q_c if marked else -q_c
+    kappa1 = _kappa(weight, lead, q_c, omega1, q_next, omega2)
+    kappa2 = _kappa(weight, -lead, q_next, omega1, q_c, omega2)
 
     applicable, other = (kappa2, kappa1) if marked else (kappa1, kappa2)
     if applicable.is_point and applicable.lo == 0:

@@ -35,6 +35,12 @@ one period. So tails repeat with that period from pre on, and every exact
 query of a system is rewritten to depth pre + period, at its position's
 phase, before its tables are read.
 
+The prefix walk carries a word's value and weight as integers over one
+unreduced denominator (`_walk`), so no step takes a gcd. Each returned
+value is reduced once from those integers: `prefix_walk` reduces the value
+and the weight, and `word_bounds` builds each endpoint value + weight *
+tail as one fraction, with no interval arithmetic in between.
+
 The prefix walk and the tail recursion read one step table per system: per
 position the term sign, a digit memo of the column's (weight, entry) pairs
 (which holds its column) and the two extremal pairs, built lazily only as
@@ -124,23 +130,31 @@ class _Digits(dict):
         return triple
 
 
-def prefix_walk(w: DigitWord) -> tuple:
-    """(value, weight) of the word in one pass: the signed sum of digit
-    weights times running entry products, and the product of the chosen
-    entries (1 for the empty word).
+def _walk(w: DigitWord) -> tuple:
+    """(num, wnum, den): the word's value num/den and weight wnum/den over
+    one unreduced denominator den.
 
-    The walk carries integers over one unreduced denominator den: value is
-    num/den and weight is wnum/den. With a digit's weight and entry written
-    as a/c and q/c, a step makes num*c + sign*a*wnum, wnum*q and den*c, so
-    no step takes a gcd; both results are reduced once, on return. Signs,
+    With a digit's weight and entry written as a/c and q/c, a step makes
+    num*c + sign*a*wnum, wnum*q and den*c, so no step takes a gcd. Signs,
     columns and (a, q, c) are read from the system's step table.
     """
+    sys = w.system
     num, wnum, den = 0, 1, 1
-    for (sign, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+    for (sign, memo, _, _), d in zip(_steps(sys, _record(sys), len(w.digits)), w.digits):
         a, q, c = memo[d]
         num = num * c + sign * a * wnum
         wnum *= q
         den *= c
+    return num, wnum, den
+
+
+def prefix_walk(w: DigitWord) -> tuple:
+    """(value, weight) of the word in one pass: the signed sum of digit
+    weights times running entry products, and the product of the chosen
+    entries (1 for the empty word). Both are carried unreduced (`_walk`)
+    and reduced once, on return.
+    """
+    num, wnum, den = _walk(w)
     return Fraction(num, den), Fraction(wnum, den)
 
 
@@ -153,8 +167,9 @@ def prefix_weight(w: DigitWord) -> Fraction:
     """Product of the chosen entries over the word (1 for the empty word),
     carried as entry numerators over one unreduced denominator and reduced
     once, from the same step table as `prefix_walk`."""
+    sys = w.system
     num = den = 1
-    for (_, memo, _, _), d in zip(_steps(w.system, len(w.digits)), w.digits):
+    for (_, memo, _, _), d in zip(_steps(sys, _record(sys), len(w.digits)), w.digits):
         _, q, c = memo[d]
         num *= q
         den *= c
@@ -262,11 +277,11 @@ def _step(sys: DigitSystem, memos: dict, t: int) -> tuple:
     return 1, memo, bottom, top
 
 
-def _steps(sys: DigitSystem, last: int, first: int = 1) -> tuple:
-    """The step records of positions first..last, in order. Records are
-    built only up to position last, so a rule column is first asked for a
-    position when a walk or a tail reaches it."""
-    rec = _record(sys)
+def _steps(sys: DigitSystem, rec: _SystemRecord, last: int, first: int = 1) -> tuple:
+    """The step records of positions first..last, in order, kept in the
+    system's record rec. Records are built only up to position last, so a
+    rule column is first asked for a position when a walk or a tail reaches
+    it."""
     known = rec.steps
     end = min(last, rec.pre + rec.period) if rec.shared else last
     if len(known) < end:
@@ -303,9 +318,10 @@ def _side_walk(steps: tuple, side: int, num_lo: int, num_hi: int, den: int):
         yield num_lo, num_hi, den
 
 
-def _tail_seed(sys: DigitSystem, depth: int, side: int) -> Enclosure:
+def _tail_seed(sys: DigitSystem, rec: _SystemRecord, depth: int, side: int) -> Enclosure:
     """The signed enclosure of one side's tail past position depth: the low
-    side's magnitude negated, or the high side's."""
+    side's magnitude negated, or the high side's. rec is the system's
+    record."""
     signs = sys.signs
     cols = sys.columns
     # The low side sums the marked positions, the high side the others.
@@ -313,7 +329,6 @@ def _tail_seed(sys: DigitSystem, depth: int, side: int) -> Enclosure:
     if side == _HIGH:
         contributors, others = others, contributors
     periodic = cols.periodicity()
-    rec = _record(sys)
     # Past the provider's preperiod one period of singleton columns means
     # forced digits forever, each of weight 0 and entry 1: no tail.
     if not contributors(depth) or (periodic is not None and all(
@@ -328,7 +343,7 @@ def _tail_seed(sys: DigitSystem, depth: int, side: int) -> Enclosure:
         # One period from [0, 1] gives [A, A + B] for its map R -> A + B*R,
         # whose fixed point is A / (1 - B); B < 1, as one period of singleton
         # columns has taken the point 0 above.
-        period = _steps(sys, depth + rec.period, depth + 1)
+        period = _steps(sys, rec, depth + rec.period, depth + 1)
         for num_lo, num_hi, den in _side_walk(period, side, 0, 1, 1):
             pass
         seed = Enclosure.point(Fraction(num_lo, den - num_hi + num_lo))
@@ -372,8 +387,11 @@ def tail_bounds(sys: DigitSystem, n: int, depth: int = DEFAULT_DEPTH) -> tuple:
     if depth >= canonical:
         if rec.exact is None:
             # Decided once, by a query that pays for each side's seed at pre +
-            # period; exact seeds start that depth's tables.
-            seeds = {side: _tail_seed(sys, canonical, side) for side in (_LOW, _HIGH)}
+            # period; exact seeds start that depth's tables. Not a
+            # comprehension: that would make sys, rec and canonical closure
+            # cells, which every call of this function pays for.
+            seeds = {_LOW: _tail_seed(sys, rec, canonical, _LOW),
+                     _HIGH: _tail_seed(sys, rec, canonical, _HIGH)}
             rec.exact = all(seed.is_point for seed in seeds.values())
             if rec.exact:
                 for side, seed in seeds.items():
@@ -415,10 +433,10 @@ def _side_tail(sys: DigitSystem, rec: _SystemRecord, side: int, n: int, depth: i
             store, reset, tail = table, None, table[t]
             break
     else:
-        store = rec.tables[side].setdefault(depth, {depth: _tail_seed(sys, depth, side)})
+        store = rec.tables[side].setdefault(depth, {depth: _tail_seed(sys, rec, depth, side)})
         reset, tail = None, store[depth]
     start = _over_common(-tail.hi, -tail.lo) if low else _over_common(tail.lo, tail.hi)
-    for num_lo, num_hi, den in _side_walk(_steps(sys, t, n + 1), side, *start):
+    for num_lo, num_hi, den in _side_walk(_steps(sys, rec, t, n + 1), side, *start):
         t -= 1
         tail = _reduced(-num_hi, -num_lo, den) if low else _reduced(num_lo, num_hi, den)
         store[t] = tail if reset is None else (reset, tail)
@@ -463,10 +481,29 @@ def value_range(sys: DigitSystem, depth: int = DEFAULT_DEPTH) -> tuple:
 def word_bounds(w: DigitWord, depth: int) -> tuple:
     """(value, inf, sup): the word's exact value and enclosures of the
     infimum and supremum of its continuations, each value + weight * tail,
-    from one prefix walk and one tail lookup. Requires depth > len(w)."""
-    value, weight = prefix_walk(w)
+    from one prefix walk and one tail lookup. Requires depth > len(w).
+
+    Each returned endpoint is built from the walk's unreduced integers and
+    reduced once: with value num/den, weight wnum/den and a tail endpoint
+    p/q, it is (num*q + wnum*p)/(den*q). The weight is positive, so each
+    tail endpoint gives the same end of its enclosure.
+    """
+    walk = _walk(w)
     lo, hi = tail_bounds(w.system, len(w), depth)
-    return value, lo.scale(weight).shift(value), hi.scale(weight).shift(value)
+    num, _, den = walk
+    return Fraction(num, den), _offset(walk, lo), _offset(walk, hi)
+
+
+def _offset(walk: tuple, tail: Enclosure) -> Enclosure:
+    """value + weight * tail for the walk (num, wnum, den) of `_walk`, each
+    endpoint reduced once; a point tail gives a point."""
+    num, wnum, den = walk
+    p, q = tail.lo.numerator, tail.lo.denominator
+    lo = Fraction(num * q + wnum * p, den * q)
+    if tail.is_point:
+        return Enclosure(lo, lo)
+    p, q = tail.hi.numerator, tail.hi.denominator
+    return Enclosure(lo, Fraction(num * q + wnum * p, den * q))
 
 
 def eval_enclosure(w: DigitWord, depth: int = DEFAULT_DEPTH) -> Enclosure:

@@ -7,6 +7,8 @@ meaningful.  (With an increasing column, picking the locally extreme digit
 can be globally suboptimal.)  `random_any_column` also draws unsorted,
 singleton and geometric columns; it serves tests that compare the tail
 layer with `reference_tail_bounds`, which follows the same recipe.
+`drawn_systems` is the hypothesis strategy over every column shape, for
+identities that hold whatever the tails are.
 """
 import copy
 from fractions import Fraction
@@ -15,6 +17,8 @@ import json
 import math
 import os
 import random
+
+from hypothesis import strategies as st
 
 from varsign import (
     DEFAULT_DEPTH,
@@ -25,6 +29,7 @@ from varsign import (
     GeometricColumn,
     ListColumns,
     RangeError,
+    RuleColumns,
     SignSet,
     load_spec,
     tail_bounds,
@@ -179,6 +184,33 @@ def random_periodic_system(rng: random.Random, max_period: int = 3,
         for _ in range(rng.randint(1, max_period))
     )
     return DigitSystem(random_signs(rng), ListColumns(cols, "cycle"))
+
+
+# Hypothesis strategies for valid columns: finite (sorted, unsorted or
+# singleton), uniform and geometric.
+FINITE_COLUMNS = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+    lambda ws: FiniteColumn(tuple(Fraction(w, sum(ws)) for w in ws)))
+UNIFORM_COLUMNS = st.integers(2, 5).map(uniform_column)
+GEOMETRIC_COLUMNS = st.integers(1, 7).map(
+    lambda k: GeometricColumn(1 - Fraction(k, 8), Fraction(k, 8)))
+
+
+@st.composite
+def drawn_systems(draw) -> DigitSystem:
+    """A system over finite (sorted, unsorted or singleton), uniform and
+    geometric columns, listed and cycled or repeating the last, or a rule
+    cycling them that claims the vanishing product only when it holds,
+    under a random sign set of any kind."""
+    cols = tuple(draw(st.lists(
+        st.one_of(FINITE_COLUMNS, UNIFORM_COLUMNS, GEOMETRIC_COLUMNS),
+        min_size=1, max_size=4)))
+    signs = build_signs(random_sign_rule(draw(st.randoms(use_true_random=False))))
+    shape = draw(st.sampled_from(("cycle", "repeat-last", "rule")))
+    if shape != "rule":
+        return DigitSystem(signs, ListColumns(cols, shape))
+    vanishing = draw(st.booleans()) and all(col.sup_entry < 1 for col in cols)
+    return DigitSystem(signs, RuleColumns(lambda n: cols[(n - 1) % len(cols)],
+                                          vanishing_product=vanishing))
 
 
 def random_word_digits(rng: random.Random, system: DigitSystem,

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from varsign import (
     ConstructionError,
@@ -10,6 +12,8 @@ from varsign import (
     Enclosure,
     FiniteColumn,
     ListColumns,
+    ParameterError,
+    RuleColumns,
     SignSet,
     cylinder,
     cylinder_bounds,
@@ -27,6 +31,7 @@ from varsign.encoder import FAILS, HOLDS
 
 from support import (
     UNSORTED_COLUMN_SPEC,
+    drawn_systems,
     extension_values,
     preset_systems,
     random_finite_system,
@@ -62,6 +67,8 @@ def test_cylinder_requires_digits():
     sys = make_classic(s_adic(2))
     cyl = cylinder(sys, (1, 0))
     assert cyl.system is sys and cyl.base.digits == (1, 0) and cyl.rank == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cyl.base = cyl.base
     with pytest.raises(ConstructionError):
         cylinder(sys, ())
     with pytest.raises(DomainError):
@@ -70,7 +77,7 @@ def test_cylinder_requires_digits():
 
 def test_bounds_need_room_below_depth():
     sys = make_classic(s_adic(2))
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="rank 2"):
         cylinder_bounds(cylinder(sys, (1, 0)), 2)
 
 
@@ -106,6 +113,14 @@ def test_metric_ratio_for_uniform_binary():
         assert ratio.is_point and ratio.lo == Fraction(1, 2)
 
 
+def test_metric_ratio_refuses_shallow_depths_and_bad_digits():
+    cyl = cylinder(make_classic(s_adic(2)), (1,))
+    with pytest.raises(ParameterError, match=r"rank \+ 2 = 3, got 3"):
+        metric_ratio(cyl, 0, 3)
+    with pytest.raises(DomainError, match="digit 2 invalid at position 2"):
+        metric_ratio(cyl, 2, 40)
+
+
 def test_metric_ratio_rejects_degenerate_parent():
     # all columns singleton: every cylinder is one point, lengths are zero
     sys = DigitSystem(SignSet.none(),
@@ -126,6 +141,8 @@ def test_placement_abutting_binary():
     assert rep.omega2.is_point and rep.omega2.lo == 0
     assert rep.overlap_or_gap_measure.is_point
     assert rep.overlap_or_gap_measure.lo == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.digit = 1
 
 
 def test_placement_gap_system():
@@ -178,6 +195,26 @@ def test_placement_normalized_bounds():
         assert scaled.hi <= col.entry(digit + 1)
 
 
+@given(sys=drawn_systems(), rng=st.randoms(use_true_random=False),
+       rank=st.integers(0, 12), extra=st.integers(1, 8))
+def test_placement_kappas_are_the_child_cylinder_differences(sys, rng, rank, extra):
+    # kappa1 = sup(c) - inf(c+1) and kappa2 = sup(c+1) - inf(c), exactly, as
+    # enclosures: the child cylinders of the same base, at the same depth,
+    # read the same tails at n. This holds for any tails, point or wide.
+    n = rank + 1
+    col = sys.column(n)
+    assume(col.is_infinite or col.top_digit >= 1)
+    digit = rng.randint(0, 5 if col.is_infinite else col.top_digit - 1)
+    base = random_word_digits(rng, sys, rank)
+    depth = n + extra
+    rep = placement(sys, base, digit, depth)
+    inf_c, sup_c = cylinder_bounds(cylinder(sys, base + (digit,)), depth)
+    inf_next, sup_next = cylinder_bounds(cylinder(sys, base + (digit + 1,)), depth)
+    assert rep.kappa1 == sup_c.sub(inf_next)
+    assert rep.kappa2 == sup_next.sub(inf_c)
+    assert (rep.nu1, rep.nu2) == (rep.kappa1.neg(), rep.kappa2.neg())
+
+
 def test_applicable_kappa_from_zero_with_width_is_undecided():
     # Applicable kappa [0, h] with h > 0: the cylinders may touch in one
     # point or overlap in an interval, so placement may claim neither.
@@ -192,6 +229,18 @@ def test_applicable_kappa_from_zero_with_width_is_undecided():
     # The covering inequality is not strict, so no gap is certain here.
     check = theorem_check(sys, 1, 5).checks[0]
     assert (check.position, check.digit, check.status) == (1, 0, HOLDS)
+
+
+def test_applicable_kappa_to_zero_with_width_is_undecided():
+    # Halves with no marked position and no vanishing claim: the upward tail
+    # at 1 is [15/16, 1] at depth 5 and the downward one is 0, so kappa1 is
+    # (1/2) * (-1 + [15/16, 1]) = [-1/32, 0]. The true tail is 1 and the two
+    # cylinders touch, but the enclosure cannot show it: undecided, not empty.
+    sys = DigitSystem(SignSet.none(), RuleColumns(lambda n: uniform_column(2)))
+    rep = placement(sys, (), 0, 5)
+    assert rep.kappa1 == Enclosure(Fraction(-1, 32), Fraction(0))
+    assert rep.overlap_class == "undecided"
+    assert rep.overlap_or_gap_measure == Enclosure(Fraction(0), Fraction(1))
 
 
 def test_placement_and_theorem_check_agree_at_every_pair():
@@ -222,6 +271,10 @@ def test_placement_and_theorem_check_agree_at_every_pair():
 
 def test_placement_requires_valid_pair():
     sys = make_classic(s_adic(2))
+    # The depth is checked first, so a bad depth is reported as such even
+    # with a bad pair.
+    with pytest.raises(ParameterError, match="position 1, got 1"):
+        placement(sys, (), 1, 1)
     with pytest.raises(DomainError):
         placement(sys, (), 1, 40)  # digit 2 does not exist
     with pytest.raises(DomainError):

@@ -40,13 +40,17 @@ from varsign import (
     uniform_column,
     value_range,
     word,
+    word_bounds,
 )
 
 from varsign import expansion
 from varsign.expansion import _HIGH, _LOW, _structure_period, _tail_seed, tail_phase
 from support import (
+    FINITE_COLUMNS,
+    GEOMETRIC_COLUMNS,
     UNSORTED_COLUMN_SPEC,
     build_signs,
+    drawn_systems,
     extension_values,
     preset_systems,
     random_any_column,
@@ -189,6 +193,39 @@ def test_integer_walk_matches_the_fraction_routes():
             assert prefix_weight(w) == weight == product
 
 
+def _check_word_bounds(sys, digits, depth):
+    """word_bounds against value + weight * tail, endpoint by endpoint, with
+    value and weight from walk_prefix; returns which tails are points."""
+    value, weight = walk_prefix(sys, digits)
+    lo, hi = tail_bounds(sys, len(digits), depth)
+    got, inf, sup = word_bounds(word(sys, digits), depth)
+    assert type(got) is Fraction and got == value
+    assert (inf.lo, inf.hi) == (value + weight * lo.lo, value + weight * lo.hi)
+    assert (sup.lo, sup.hi) == (value + weight * hi.lo, value + weight * hi.hi)
+    return lo.is_point, hi.is_point
+
+
+@given(sys=drawn_systems(), rng=st.randoms(use_true_random=False),
+       rank=st.integers(0, 60), extra=st.integers(1, 8))
+def test_word_bounds_is_value_plus_weight_times_tails(sys, rng, rank, extra):
+    _check_word_bounds(sys, random_word_digits(rng, sys, rank), rank + extra)
+
+
+def test_word_bounds_on_point_and_wide_tails():
+    # The presets' tails are points. Rule columns without the vanishing
+    # claim seed [0, 1] on each side that has contributors: both sides under
+    # odd signs, only the high one when no position is marked.
+    rng = random.Random(SEED + 18)
+    halves = RuleColumns(lambda n: uniform_column(2))
+    systems = preset_systems() + [DigitSystem(SignSet.odd(), halves),
+                                  DigitSystem(SignSet.none(), halves)]
+    kinds = set()
+    for sys in systems:
+        for rank in (0, 1, 30, 60):
+            kinds.add(_check_word_bounds(sys, random_word_digits(rng, sys, rank), rank + 5))
+    assert kinds == {(True, True), (False, False), (True, False)}
+
+
 def test_tail_bounds_do_not_depend_on_query_order():
     # One system answers a shuffled stream of positions from its cached
     # tables; a fresh copy of it (empty cache) answers each one directly.
@@ -269,7 +306,7 @@ def test_tail_width_bounded_by_entry_product():
 def _extremal(sys, t):
     """The (weight, entry) pairs of the step table's low and high sides at
     position t, as Fractions."""
-    low, high = expansion._steps(sys, t)[t - 1][2:]
+    low, high = expansion._steps(sys, expansion._record(sys), t)[t - 1][2:]
     return tuple((Fraction(a, c), Fraction(q, c)) for a, q, c in (low, high))
 
 
@@ -364,7 +401,8 @@ def test_seed_branch_repeats_past_the_preperiod():
     rng = random.Random(SEED + 8)
     for sys in _differential_systems(rng):
         pre, period = _structure_period(sys)
-        pairs = [(_tail_seed(sys, depth, _LOW), _tail_seed(sys, depth, _HIGH))
+        rec = expansion._record(sys)
+        pairs = [(_tail_seed(sys, rec, depth, _LOW), _tail_seed(sys, rec, depth, _HIGH))
                  for depth in range(pre, pre + 3 * period + 1)]
         for seeds in zip(*pairs):
             assert len({seed.is_point for seed in seeds}) == 1, (pre, period)
@@ -622,19 +660,13 @@ def test_reset_tails_match_the_reference_on_the_examples():
         _check_stores(sys, depths)
 
 
-_FINITE = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
-    lambda ws: FiniteColumn(tuple(Fraction(w, sum(ws)) for w in ws)))
-_GEOMETRIC = st.integers(1, 7).map(
-    lambda k: GeometricColumn(1 - Fraction(k, 8), Fraction(k, 8)))
-
-
 @st.composite
 def _mixed_columns(draw):
     """A provider over finite (sorted, unsorted or singleton) and geometric
     columns, at least one of each: listed and cycled or repeating the last,
     or a rule cycling them, with the vanishing claim when it holds."""
-    cols = draw(st.lists(st.one_of(_FINITE, _GEOMETRIC), max_size=4))
-    cols = draw(st.permutations(cols + [draw(_FINITE), draw(_GEOMETRIC)]))
+    cols = draw(st.lists(st.one_of(FINITE_COLUMNS, GEOMETRIC_COLUMNS), max_size=4))
+    cols = draw(st.permutations(cols + [draw(FINITE_COLUMNS), draw(GEOMETRIC_COLUMNS)]))
     shape = draw(st.sampled_from(("cycle", "repeat-last", "rule")))
     if shape != "rule":
         return ListColumns(tuple(cols), shape)

@@ -15,9 +15,11 @@ from varsign import (
     GeometricColumn,
     INCONCLUSIVE,
     ListColumns,
+    ParameterError,
     RuleColumns,
     SignSet,
     UniformColumn,
+    ValidationReport,
     eval_prefix,
     eval_signed_product,
     make_classic,
@@ -80,6 +82,7 @@ def test_sign_set_rejects_bad_input():
     {"period": 0},
     {"period": -3, "residues": frozenset({0})},
     {"period": 2, "residues": frozenset({5})},
+    {"period": 2, "residues": frozenset({2})},
     {"period": 2, "residues": frozenset({-1, 1})},
     {"start": -1},
     {"flips": frozenset({0})},
@@ -113,6 +116,11 @@ def test_residue_classes_checks_types_before_comparing(args):
     # Comparing these with integers would raise a bare TypeError.
     with pytest.raises(ConstructionError, match="integers"):
         SignSet.residue_classes(*args)
+
+
+def test_sign_set_refuses_position_zero():
+    with pytest.raises(DomainError, match="position"):
+        SignSet.every().contains(0)
 
 
 def test_sign_set_normal_form_edges_still_construct():
@@ -413,6 +421,15 @@ def test_list_columns_extension_rules():
         ListColumns((a,), "sideways")
 
 
+@pytest.mark.parametrize("provider", [
+    ListColumns((uniform_column(2),)),
+    RuleColumns(lambda n: uniform_column(2)),
+], ids=["list", "rule"])
+def test_providers_refuse_position_zero(provider):
+    with pytest.raises(DomainError, match="position"):
+        provider.column(0)
+
+
 def test_list_columns_vanishing_claim():
     assert ListColumns((uniform_column(2),)).claims_vanishing_product()
     stuck = ListColumns((FiniteColumn((Fraction(1),)),))
@@ -474,6 +491,12 @@ def test_validate_flags_bad_geometric():
         GeometricColumn(Fraction(1, 2), Fraction(3, 2))
 
 
+def test_geometric_refusal_quotes_the_column_sum():
+    # The entries (1/3) * (1/2)**i sum to (1/3) / (1 - 1/2) = 2/3.
+    with pytest.raises(ConstructionError, match=r"column sum 2/3 != 1"):
+        GeometricColumn(Fraction(1, 3), Fraction(1, 2))
+
+
 def test_rule_column_invalid_past_the_checked_depth_raises():
     # The columns turn bad at position 50, past what validate(10) builds;
     # a word reaching position 50 must fail rather than escape value_range.
@@ -516,6 +539,28 @@ def test_condition3_small_product_without_structure_is_inconclusive():
     report = DigitSystem(SignSet.none(), rule).validate(100)
     assert report.condition3_product == Fraction(1, 2 ** 100)
     assert report.condition3 == INCONCLUSIVE
+
+
+def test_validate_refuses_depth_zero():
+    sys = DigitSystem(SignSet.none(), ListColumns((uniform_column(2),)))
+    with pytest.raises(ParameterError, match="depth"):
+        sys.validate(0)
+
+
+def test_validate_at_depth_one_reads_the_first_column():
+    sys = DigitSystem(SignSet.none(), ListColumns((uniform_column(3),)))
+    assert sys.validate(1).condition3_product == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("record, field", [
+    (SignSet.odd(), "period"),
+    (uniform_column(2), "s"),
+    (ListColumns((uniform_column(2),)), "extend"),
+    (ValidationReport(1, CERTIFIED, Fraction(1, 2)), "depth"),
+], ids=["SignSet", "UniformColumn", "ListColumns", "ValidationReport"])
+def test_value_records_are_frozen(record, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
 
 
 def test_condition3_inconclusive_without_structure():
